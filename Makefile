@@ -7,19 +7,23 @@ GO ?= go
 # real hunt, e.g. `make fuzz FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-# Same-run throughput floor for the batched fleet kernel: batched must be
-# at least this many times faster than scalar on BenchmarkFleetThroughput.
-# Set from a measured ~1.7x (see docs/benchmarks.md for why not more) with
-# margin for runner noise; raise it only after re-measuring, lower it only
-# with a written justification of what legitimately got slower.
-MIN_SPEEDUP ?= 1.4
+# Host-calibrated throughput floor for the fleet kernel: in one run,
+# BenchmarkHostCalibration's ns/op divided by BenchmarkFleetThroughput's
+# must stay at or above this. Set from 24 runs on a shared 2-vCPU host
+# (median 0.66, quartiles 0.58-0.72) as the median over 1.25, so a 25%
+# fleet-kernel slowdown trips it. On a busy shared host the fleet slows
+# and the hash does not, so a failure there deserves a re-run; see
+# docs/benchmarks.md. Raise it only after re-measuring, lower it only with
+# a written justification of what legitimately got slower.
+MIN_SPEEDUP ?= 0.52
 
-# Absolute B/op ceiling for the batched fleet kernel on
-# BenchmarkFleetThroughput/batched. Per-op bytes are a property of the
+# Absolute B/op ceiling for the fleet kernel on
+# BenchmarkFleetThroughput. Per-op bytes are a property of the
 # code path (fixed-size buffers, pooled arenas), not the host, so the
-# ceiling travels across runners. Set from a measured ~239 kB/op with
-# ~65% headroom; a trip means per-op memory genuinely grew (a pool that
-# stopped pooling, a slice that started escaping).
+# ceiling travels across runners. Set from a measured ~239 kB/op of the
+# former lock-step kernel (the per-device kernel measures ~203 kB/op); a
+# trip means per-op memory genuinely grew (a pool that stopped pooling, a
+# slice that started escaping).
 MAX_BATCH_BYTES ?= 400000
 
 .PHONY: all build test race bench bench-json bench-baseline bench-ratio bench-record lint fmt fuzz cover api-check api-surface daemon-smoke soak soak-smoke ci clean
@@ -30,8 +34,9 @@ MAX_BATCH_BYTES ?= 400000
 # channel handoff per interval) on top of the raw simulation cell;
 # BenchmarkFleetCell covers the fleet unit of work (per-device scenario run
 # folded into the online aggregators, no trace retained);
-# BenchmarkFleetThroughput covers the batched SoA fleet kernel against its
-# scalar oracle (same fleet, BatchSize 1 vs default).
+# BenchmarkFleetThroughput covers a whole 64-device fleet on one worker
+# through the per-device kernel (pooled arenas, fused power, scripted
+# demand via TickWith).
 HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$
 
 all: build
@@ -58,7 +63,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench '$(HOTBENCH)' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_latest.json
 	$(GO) run ./cmd/benchjson -check -max-allocs-regress 0.20 BENCH_baseline.json BENCH_latest.json
-	$(GO) run ./cmd/benchjson -max-bytes 'BenchmarkFleetThroughput/batched,$(MAX_BATCH_BYTES)' BENCH_latest.json
+	$(GO) run ./cmd/benchjson -max-bytes 'BenchmarkFleetThroughput,$(MAX_BATCH_BYTES)' BENCH_latest.json
 
 # Regenerate the committed baseline after an INTENTIONAL allocation-profile
 # change; say why in the commit message.
@@ -66,15 +71,17 @@ bench-baseline:
 	$(GO) test -run '^$$' -bench '$(HOTBENCH)' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_baseline.json
 
-# Batched-vs-scalar throughput ratio gate. The two sub-benchmarks run in
-# the SAME invocation on the SAME host, so their devices/sec ratio is
-# host-independent even on noisy shared runners; 3 iterations average out
-# scheduler jitter. Fails when batched/scalar < MIN_SPEEDUP.
+# Host-calibrated fleet throughput gate. The fleet benchmark and a fixed
+# SHA-256 workload (cleanroom's "Workload C") run in the SAME invocation on
+# the SAME host, so the ratio of their ns/op turns a host-dependent time
+# into a portable one; 10 iterations on one CPU damp scheduler and GC
+# jitter. Fails when calibration/fleet < MIN_SPEEDUP.
 bench-ratio:
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput$$' -benchtime 3x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput$$|BenchmarkHostCalibration$$' \
+		-benchtime 10x -cpu 1 -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_throughput.json
 	$(GO) run ./cmd/benchjson \
-		-min-speedup 'BenchmarkFleetThroughput/batched,BenchmarkFleetThroughput/scalar,$(MIN_SPEEDUP)' \
+		-min-speedup 'BenchmarkFleetThroughput,BenchmarkHostCalibration,$(MIN_SPEEDUP)' \
 		BENCH_throughput.json
 
 # Archive a full benchmark sweep under benchmarks/results/ with a

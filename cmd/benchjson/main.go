@@ -7,8 +7,8 @@
 //	go test -run '^$' -bench . -benchtime 1x -benchmem . | benchjson -out BENCH_latest.json
 //	go test -run '^$' -bench . -benchmem . | benchjson -record benchmarks/results
 //	benchjson -check BENCH_baseline.json BENCH_latest.json -max-allocs-regress 0.20
-//	benchjson -min-speedup 'Benchmark/batched,Benchmark/scalar,1.4' BENCH_latest.json
-//	benchjson -max-bytes 'Benchmark/batched,400000' BENCH_latest.json
+//	benchjson -min-speedup 'BenchmarkFleetThroughput,BenchmarkHostCalibration,0.52' BENCH_latest.json
+//	benchjson -max-bytes 'BenchmarkFleetThroughput,400000' BENCH_latest.json
 //
 // The check compares allocs/op only: nanoseconds vary with the host, but
 // the hot loops are engineered to allocate a fixed, machine-independent
@@ -29,7 +29,8 @@
 // same machine under the same load, so their throughput ratio survives
 // CI-runner variance that absolute ns/op gates cannot. The two entries
 // are compared on the devices_per_sec custom metric when both report it,
-// falling back to the inverse ns/op ratio otherwise.
+// falling back to the inverse ns/op ratio otherwise — which is how a
+// kernel benchmark is gated against a fixed host-calibration workload.
 //
 // -record archives the parsed run under a timestamped filename together
 // with host provenance (OS, arch, CPU model, core count, Go version), so

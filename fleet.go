@@ -57,18 +57,17 @@ func DeriveFleetCell(spec FleetSpec, baseSeed int64, index int) FleetCellConfig 
 type FleetOption func(*fleetConfig)
 
 type fleetConfig struct {
-	batchSize int
-	storeDir  string
-	useStore  bool
+	storeDir string
+	useStore bool
 }
 
-// WithBatchSize caps how many same-(platform, scenario) devices the fleet
-// engine steps in lock-step through the batched structure-of-arrays
-// kernel. 0 (the default) uses the engine's built-in width; 1 forces the
-// scalar path. Batched devices produce byte-identical samples and reports,
-// so this is purely a throughput/latency knob.
+// WithBatchSize used to cap the lock-step batch width of the fleet kernel.
+// Every device now runs the same per-device kernel, so the option does
+// nothing.
+//
+// Deprecated: fleets no longer batch devices; drop the option.
 func WithBatchSize(n int) FleetOption {
-	return func(c *fleetConfig) { c.batchSize = n }
+	return func(*fleetConfig) {}
 }
 
 // WithStore attaches a content-addressed result store rooted at dir ("" =
@@ -90,7 +89,7 @@ func (d *Device) fleetEngine(models *Models, workers int, baseSeed int64, opts .
 	for _, o := range opts {
 		o(&cfg)
 	}
-	eng := &fleet.Engine{Workers: workers, Runner: d.r, BaseSeed: baseSeed, BatchSize: cfg.batchSize}
+	eng := &fleet.Engine{Workers: workers, Runner: d.r, BaseSeed: baseSeed}
 	if models != nil {
 		eng.Models = models.c
 	}

@@ -144,8 +144,9 @@ func TestParseFleetSpecFacade(t *testing.T) {
 	}
 }
 
-// TestFleetOptionsFacade: WithBatchSize and WithStore tune execution
-// without changing report bytes, and a warm re-run is served from the store.
+// TestFleetOptionsFacade: WithStore tunes execution without changing report
+// bytes (and the deprecated WithBatchSize is accepted as a no-op), and a
+// warm re-run is served from the store.
 func TestFleetOptionsFacade(t *testing.T) {
 	dev := NewDevice()
 	spec := facadeFleetSpec()

@@ -149,11 +149,9 @@ type SubmitRequest struct {
 	// Seed is the base seed (population draw / cell derivation +
 	// characterization).
 	Seed int64 `json:"seed"`
-	// Workers caps the run's worker pool (0 = the server's default).
+	// Workers caps the run's worker pool (0 = the server's pool size,
+	// which is also the ceiling: larger requests are clamped to it).
 	Workers int `json:"workers,omitempty"`
-	// BatchSize tunes the fleet SoA kernel (fleet runs only; 0 = engine
-	// default, 1 = scalar). Byte output is identical at any value.
-	BatchSize int `json:"batch_size,omitempty"`
 }
 
 // jsonRaw aliases json.RawMessage without importing encoding/json into

@@ -1,11 +1,11 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"os"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/platform"
@@ -13,17 +13,19 @@ import (
 	"repro/internal/sim"
 )
 
-// The batched kernel's whole contract is byte-identity with the scalar
-// path: not "close", the same bits. These tests sweep every registered
-// platform x library scenario x policy and a range of batch widths,
-// comparing every observed Sample field and every consumed Result field
-// bitwise. The §6.3.1 prediction-accuracy fields (PredMeanPct, PredMaxPct,
-// PredMaxAbsC) are deliberately excluded: RunBatch documents that it skips
-// that accounting, and no fleet output consumes it.
+// A fleet runs every device through the one per-device kernel twice over:
+// in batch (the aggregate path, which skips the §6.3.1 prediction
+// accounting and records nothing) and standalone (ReplayCell's recorded
+// path, accounting on). These tests hold both to byte-identity — not
+// "close", the same bits — over every registered platform x library
+// scenario x policy, and hold the kernel's pooled per-worker arenas to
+// byte-identity with fresh state under any reuse pattern. The prediction
+// fields (PredMeanPct, PredMaxPct, PredMaxAbsC) are the one documented
+// difference, and no fleet output consumes them.
 
 // equivPeriod / equivDuration keep each equivalence run to ~50 control
 // intervals so the full matrix stays cheap. BATCH_EQUIV_N (the nightly CI
-// knob) adds a larger batch width on top of the default sweep.
+// knob) adds a wider device sweep on top of the default widths.
 const (
 	equivPeriod   = 0.25
 	equivDuration = 12
@@ -52,38 +54,32 @@ func deviceFor(t *testing.T, name string) (*sim.Runner, *sim.Characterization) {
 	return runner, models
 }
 
-// equivOptions builds the b per-device option sets of one (platform,
-// scenario, policy) combo, mirroring the fleet's per-cell perturbation
-// scheme: every device gets its own run seed, jitter seed, and ambient
-// shift (device 1 keeps shift 0, covering the unperturbed path).
-func equivOptions(t *testing.T, runner *sim.Runner, models *sim.Characterization, scName string, pol sim.Policy, b int) ([]sim.Options, []*[]sim.Sample) {
+// equivOptions builds device d's options for one (platform, scenario,
+// policy) combo, mirroring the fleet's per-cell perturbation scheme: every
+// device gets its own run seed, jitter seed, and ambient shift (device 1
+// keeps shift 0, covering the unperturbed path). The returned slice
+// collects the samples the observer sees.
+func equivOptions(t *testing.T, runner *sim.Runner, models *sim.Characterization, scName string, pol sim.Policy, d int) (sim.Options, *[]sim.Sample) {
 	t.Helper()
 	sc, err := scenario.ByName(scName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := make([]sim.Options, b)
-	streams := make([]*[]sim.Sample, b)
-	for d := 0; d < b; d++ {
-		shift := 1.5*float64(d) - 1.5
-		script, err := scenario.Compile(sc.Perturbed(int64(500+7*d), shift, runner.Desc.Thermal.Ambient))
-		if err != nil {
-			t.Fatal(err)
-		}
-		samples := &[]sim.Sample{}
-		streams[d] = samples
-		opts[d] = sim.Options{
-			Policy:        pol,
-			Script:        script,
-			Seed:          int64(101 + 13*d),
-			ControlPeriod: equivPeriod,
-			MaxDuration:   equivDuration,
-			Model:         models.Thermal,
-			PowerModel:    models.Power,
-			Observer:      func(s sim.Sample) { *samples = append(*samples, s) },
-		}
+	script, err := scenario.Compile(sc.Perturbed(int64(500+7*d), 1.5*float64(d)-1.5, runner.Desc.Thermal.Ambient))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return opts, streams
+	samples := &[]sim.Sample{}
+	return sim.Options{
+		Policy:        pol,
+		Script:        script,
+		Seed:          int64(101 + 13*d),
+		ControlPeriod: equivPeriod,
+		MaxDuration:   equivDuration,
+		Model:         models.Thermal,
+		PowerModel:    models.Power,
+		Observer:      func(s sim.Sample) { *samples = append(*samples, s) },
+	}, samples
 }
 
 func sampleBits(s sim.Sample) [11]uint64 {
@@ -126,63 +122,79 @@ func resultBits(r *sim.Result) [13]uint64 {
 	}
 }
 
-// assertBatchMatchesScalar runs one combo at batch width b and demands
-// per-device byte-identity with b independent scalar runs.
-func assertBatchMatchesScalar(t *testing.T, platName, scName string, pol sim.Policy, b int) {
+// outcome is one run's comparable fingerprint.
+type outcome struct {
+	res     [13]uint64
+	samples [][11]uint64
+}
+
+func runOutcome(t *testing.T, runner *sim.Runner, opt sim.Options, samples *[]sim.Sample) (outcome, *sim.Result) {
 	t.Helper()
-	ctx := context.Background()
-	runner, models := deviceFor(t, platName)
-
-	batchOpts, batchStreams := equivOptions(t, runner, models, scName, pol, b)
-	batchRes, err := runner.RunBatch(ctx, batchOpts)
+	res, err := runner.Run(context.Background(), opt)
 	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
+		t.Errorf("run: %v", err)
+		return outcome{}, nil
 	}
+	o := outcome{res: resultBits(res)}
+	for _, s := range *samples {
+		o.samples = append(o.samples, sampleBits(s))
+	}
+	return o, res
+}
 
-	scalarOpts, scalarStreams := equivOptions(t, runner, models, scName, pol, b)
-	for d := 0; d < b; d++ {
-		scalarRes, err := runner.Run(ctx, scalarOpts[d])
-		if err != nil {
-			t.Fatalf("scalar Run device %d: %v", d, err)
-		}
-		if got, want := resultBits(batchRes[d]), resultBits(scalarRes); got != want {
-			t.Errorf("device %d: batched result diverges from scalar:\nbatched %+v\nscalar  %+v", d, *batchRes[d], *scalarRes)
-		}
-		if batchRes[d].Bench != scalarRes.Bench {
-			t.Errorf("device %d: Bench %q vs %q", d, batchRes[d].Bench, scalarRes.Bench)
-		}
-		bs, ss := *batchStreams[d], *scalarStreams[d]
-		if len(bs) != len(ss) {
-			t.Fatalf("device %d: %d batched samples vs %d scalar", d, len(bs), len(ss))
-		}
-		for k := range bs {
-			if sampleBits(bs[k]) != sampleBits(ss[k]) {
-				t.Fatalf("device %d step %d: batched sample diverges:\nbatched %+v\nscalar  %+v", d, k, bs[k], ss[k])
-			}
+func (o outcome) diff(t *testing.T, what string, want outcome) {
+	t.Helper()
+	if o.res != want.res {
+		t.Errorf("%s: result diverges:\ngot  %v\nwant %v", what, o.res, want.res)
+	}
+	if len(o.samples) != len(want.samples) {
+		t.Fatalf("%s: %d samples vs %d", what, len(o.samples), len(want.samples))
+	}
+	for k := range o.samples {
+		if o.samples[k] != want.samples[k] {
+			t.Fatalf("%s: step %d sample diverges:\ngot  %v\nwant %v", what, k, o.samples[k], want.samples[k])
 		}
 	}
 }
 
 // TestBatchEquivalenceMatrix sweeps every registered platform x library
-// scenario x policy at one batch width. The B-width sweep lives in
-// TestBatchEquivalenceWidths; together they are the oracle gate the
-// tentpole rests on.
+// scenario x policy with three perturbed devices each: the fleet's batch
+// path (no prediction accounting, no recording) must reproduce the
+// recorded, fully accounted standalone run bit for bit, and leave exactly
+// the Pred* fields and the "predmax_c" series out.
 func TestBatchEquivalenceMatrix(t *testing.T) {
 	for _, platName := range platform.Names() {
 		for _, scName := range scenario.Names() {
 			for _, pol := range sim.Policies() {
 				t.Run(platName+"/"+scName+"/"+pol.String(), func(t *testing.T) {
-					assertBatchMatchesScalar(t, platName, scName, pol, 3)
+					runner, models := deviceFor(t, platName)
+					for d := 0; d < 3; d++ {
+						opt, samples := equivOptions(t, runner, models, scName, pol, d)
+						opt.PredHorizon = -1
+						batch, res := runOutcome(t, runner, opt, samples)
+						if res != nil && (res.PredMeanPct != 0 || res.PredMaxPct != 0 || res.PredMaxAbsC != 0) {
+							t.Errorf("device %d: batch path computed prediction accuracy %+v", d, *res)
+						}
+
+						opt, samples = equivOptions(t, runner, models, scName, pol, d)
+						opt.Record = true
+						full, res := runOutcome(t, runner, opt, samples)
+						if res != nil && res.Rec.Series("predmax_c") == nil {
+							t.Errorf("device %d: recorded run has no predmax_c series", d)
+						}
+						batch.diff(t, "device "+strconv.Itoa(d), full)
+					}
 				})
 			}
 		}
 	}
 }
 
-// TestBatchEquivalenceWidths checks byte-identity across batch widths —
-// including 1 (a degenerate batch) and 17 (not a divisor of anything,
-// catching stride bugs). The nightly CI job raises the width via
-// BATCH_EQUIV_N to shake out capacity effects scalar CI never sees.
+// TestBatchEquivalenceWidths runs B devices — spread over every platform,
+// so pooled arenas are handed between different core and node counts —
+// sequentially, then all B concurrently, then sequentially in reverse.
+// Each device must reproduce its sequential outcome bit for bit whatever
+// arena it drew. The nightly CI job raises B via BATCH_EQUIV_N.
 func TestBatchEquivalenceWidths(t *testing.T) {
 	widths := []int{1, 3, 8, 17}
 	if s := os.Getenv("BATCH_EQUIV_N"); s != "" {
@@ -192,44 +204,35 @@ func TestBatchEquivalenceWidths(t *testing.T) {
 		}
 		widths = append(widths, n)
 	}
+	names := platform.Names()
 	for _, b := range widths {
 		t.Run("B="+strconv.Itoa(b), func(t *testing.T) {
-			assertBatchMatchesScalar(t, platform.DefaultName, "gaming-session", sim.PolicyDTPM, b)
+			run := func(d int) outcome {
+				runner, models := deviceFor(t, names[d%len(names)])
+				opt, samples := equivOptions(t, runner, models, "gaming-session", sim.PolicyDTPM, d)
+				o, _ := runOutcome(t, runner, opt, samples)
+				return o
+			}
+			want := make([]outcome, b)
+			for d := range want {
+				want[d] = run(d)
+			}
+			got := make([]outcome, b)
+			var wg sync.WaitGroup
+			for d := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[d] = run(d)
+				}()
+			}
+			wg.Wait()
+			for d := range got {
+				got[d].diff(t, "concurrent device "+strconv.Itoa(d), want[d])
+			}
+			for d := b - 1; d >= 0; d-- {
+				run(d).diff(t, "reverse device "+strconv.Itoa(d), want[d])
+			}
 		})
-	}
-}
-
-// TestFleetBatchSizeInvariant is the end-to-end closure: one spec, one
-// base seed, byte-identical JSON and CSV reports whether the engine runs
-// scalar cells, the default batch width, or an oddball width.
-func TestFleetBatchSizeInvariant(t *testing.T) {
-	spec := testSpec(12)
-	var wantJSON, wantCSV []byte
-	for _, size := range []int{1, 0, 5} {
-		eng := &Engine{Workers: 4, BaseSeed: 42, BatchSize: size}
-		rep, err := eng.Run(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Failures) > 0 {
-			t.Fatalf("BatchSize=%d: fleet cells failed: %+v", size, rep.Failures)
-		}
-		var j, c bytes.Buffer
-		if err := rep.WriteJSON(&j); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteCSV(&c); err != nil {
-			t.Fatal(err)
-		}
-		if wantJSON == nil {
-			wantJSON, wantCSV = j.Bytes(), c.Bytes()
-			continue
-		}
-		if !bytes.Equal(j.Bytes(), wantJSON) {
-			t.Errorf("BatchSize=%d: JSON report differs from scalar", size)
-		}
-		if !bytes.Equal(c.Bytes(), wantCSV) {
-			t.Errorf("BatchSize=%d: CSV report differs from scalar", size)
-		}
 	}
 }

@@ -50,11 +50,6 @@ type Engine struct {
 	// OnCellDone, when set, receives a Progress event after each cell,
 	// serially.
 	OnCellDone func(Progress)
-	// BatchSize caps how many same-(platform, scenario) cells Run steps in
-	// lock-step through the batched SoA kernel (0 = DefaultBatchSize, 1 =
-	// scalar only). Batched cells are byte-identical to scalar runs, so
-	// the knob trades throughput against per-unit latency, never results.
-	BatchSize int
 	// Store, when set, makes cell execution lookup-or-compute: each
 	// cell's normalized configuration is hashed to a content address,
 	// computed results are persisted under it, and later runs of an
@@ -77,13 +72,17 @@ type Engine struct {
 	// provenance fields above.
 	charMu sync.Mutex
 
-	// lastMaxPending / lastMaxBuffered record the previous Run's
-	// high-water marks of the collector's reorder window and the
-	// planner's buffers — the observability hooks the bounded-memory
-	// test asserts on. Written once after the pool drains.
-	lastMaxPending  int
-	lastMaxBuffered int
+	// lastMaxPending records the previous Run's high-water mark of the
+	// collector's reorder window — the observability hook the
+	// bounded-memory test asserts on. Written once after the pool drains.
+	lastMaxPending int
 }
+
+// windowPerWorker sizes the collector's reorder window (and the store
+// writer's queue) per worker: enough completed cells may wait on a slow
+// frontier cell that cells of very different scenario lengths keep every
+// worker busy, while the window stays O(workers), independent of N.
+const windowPerWorker = 32
 
 // cellOutcome is what one cell leaves behind for assembly.
 type cellOutcome struct {
@@ -198,9 +197,8 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 		return nil, err
 	}
 	coll := newCollector(spec.N)
-	// Per-worker sim scratch is recycled through pooled arenas; the
-	// collector returns each merged cell's aggregator to the pool — but
-	// only on store-less runs: with a store attached the async writer may
+	// The collector returns each merged cell's aggregator to the pool —
+	// but only on store-less runs: with a store attached the async writer may
 	// still be marshalling an aggregate after the merge has folded it.
 	coll.recycle = e.Store == nil
 	var (
@@ -208,50 +206,65 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 		done int
 	)
 	pool := sched.Pool{Workers: e.Workers}
-	// Store writes leave the hot path: a bounded queue (a few units per
-	// worker) feeds one writer goroutine, and workers block only when the
-	// store falls that far behind.
+	window := windowPerWorker * pool.Size(spec.N)
+	// Store writes leave the hot path: a bounded queue feeds one writer
+	// goroutine, and workers block only when the store falls that far
+	// behind.
 	var writer *storeWriter
 	if e.Store != nil {
-		writer = e.startWriter(spec, 4*pool.Size(spec.N)*e.batchSize())
+		writer = e.startWriter(spec, window)
 	}
-	// Work units pack same-(platform, scenario) cells for the batched
-	// kernel, derived lazily in (platform, scenario) grouped chunks;
-	// single-cell units take the scalar path inside runBatchUnit, so
-	// BatchSize 1 degenerates to the original per-cell fan-out.
-	plan := newUnitPlanner(spec, e.BaseSeed, e.batchSize())
-	// Backpressure: a worker may not take a new unit while the collector's
-	// pending window is full. Without this the reorder window is bounded
-	// only by goroutine scheduling fairness — a preempted worker holding
-	// the frontier unit lets its peers complete a full scheduler slice of
-	// cells each — which on a loaded box scales with throughput, not with
-	// the pool. The gate cannot deadlock: once pending exceeds the
-	// planner's flush window the frontier cell is necessarily in flight
-	// with a worker (a buffered frontier would cap pending at the flush
-	// window), and that worker finishes and merges without ever gating.
-	coll.window = (flushWindowUnits + pool.Size(spec.N)) * e.batchSize()
-	sched.Drain(pool, func() ([]int, bool) {
+	// Cells are handed out one at a time in index order. Backpressure: a
+	// worker may not take a new cell while the collector's pending window
+	// is full. Without this the reorder window is bounded only by goroutine
+	// scheduling fairness — a preempted worker holding the frontier cell
+	// lets its peers complete a full scheduler slice of cells each — which
+	// on a loaded box scales with throughput, not with the pool. The gate
+	// cannot deadlock: every pending cell lies above the merge frontier,
+	// so the frontier cell has been handed out and is in flight with a
+	// worker that finishes and merges it without ever gating.
+	coll.window = window
+	next := 0
+	sched.Drain(pool, func() (int, bool) {
 		coll.gate()
-		return plan.nextUnit()
-	}, func(unit []int) {
-		outs := e.runBatchUnit(ctx, spec, pol, unit, writer)
-		for j, out := range outs {
-			coll.add(unit[j], out)
-			if e.OnCellDone != nil {
-				mu.Lock()
-				done++
-				e.OnCellDone(Progress{Done: done, Total: spec.N, Cell: out.cfg, Metrics: out.metrics, Err: out.err, Cached: out.cached})
-				mu.Unlock()
-			}
+		if next >= spec.N {
+			return 0, false
+		}
+		next++
+		return next - 1, true
+	}, func(i int) {
+		out := e.runIndex(ctx, spec, pol, i, writer)
+		coll.add(i, out)
+		if e.OnCellDone != nil {
+			mu.Lock()
+			done++
+			e.OnCellDone(Progress{Done: done, Total: spec.N, Cell: out.cfg, Metrics: out.metrics, Err: out.err, Cached: out.cached})
+			mu.Unlock()
 		}
 	})
 	writer.close() // drain every queued store write, cancelled or not
-	e.lastMaxPending, e.lastMaxBuffered = coll.maxPending, plan.maxBuffered
+	e.lastMaxPending = coll.maxPending
 	rep := coll.report(spec, e.BaseSeed)
 	if cause := context.Cause(ctx); cause != nil {
 		return rep, fmt.Errorf("fleet: %w (%w)", sim.ErrCancelled, cause)
 	}
 	return rep, nil
+}
+
+// runIndex executes cell i of a fleet run. With a store attached it is
+// lookup-or-compute: hits are served as-is, and computed outcomes go to
+// the async store writer, which persists them off the hot path (the
+// collector never recycles aggregators on store-backed runs, so the
+// writer's reads stay safe).
+func (e *Engine) runIndex(ctx context.Context, spec Spec, pol sim.Policy, i int, writer *storeWriter) cellOutcome {
+	if e.Store != nil {
+		if out, ok := e.lookupCell(spec, i); ok {
+			return out
+		}
+	}
+	out := e.runCell(ctx, spec, pol, i, false)
+	writer.enqueue(out)
+	return out
 }
 
 // runCell executes one device cell; every failure mode becomes a collected
@@ -309,6 +322,11 @@ func cellOptions(spec Spec, pol sim.Policy, cfg CellConfig, runner *sim.Runner, 
 		TMax:          spec.TMaxC,
 		ControlPeriod: spec.ControlPeriodS,
 		Record:        record,
+	}
+	// The aggregate path consumes no prediction-accuracy metric; only a
+	// recorded replay keeps the accounting (and its "predmax_c" trace).
+	if !record {
+		opt.PredHorizon = -1
 	}
 	if models != nil {
 		opt.Model = models.Thermal
@@ -388,8 +406,7 @@ func (e *Engine) cell(ctx context.Context, spec Spec, index int, record bool) (c
 // byte-determinism contract) while each cell's aggregator (its histogram
 // backing) is recycled as soon as it is folded in. The pending window is
 // hard-bounded by the gate: workers wait for window room before taking a
-// new unit, so pending stays O(flush window + workers × batch), never
-// O(N) — that, not a cells-length slice, is what lets a million-device
+// new cell, so pending stays O(workers), never O(N) — that, not a cells-length slice, is what lets a million-device
 // fleet run in memory independent of N. Only the per-group scalar tails
 // (one energy / perf-loss / throttle value per completed cell, for the
 // exact percentiles the report promises) and the failure list still grow
@@ -410,13 +427,12 @@ type collector struct {
 	// store-backed runs: the async writer may still be marshalling an
 	// aggregate after the merge folded it.
 	recycle bool
-	// window caps the pending map: gate blocks unit hand-out while the
-	// window is full (0 = ungated). Must exceed the planner's flush window
-	// so the frontier cell is always in flight whenever gate blocks.
+	// window caps the pending map: gate blocks cell hand-out while the
+	// window is full (0 = ungated).
 	window int
 	// maxPending is the high-water mark of the pending window — the
 	// bounded-memory test asserts it stays under the gate's window plus
-	// one in-flight unit per worker at any population size.
+	// one in-flight cell per worker at any population size.
 	maxPending int
 }
 
@@ -431,9 +447,9 @@ func newCollector(n int) *collector {
 	return c
 }
 
-// gate blocks until the pending window has room for another unit's cells.
-// Callers hold no unit when they gate, so the worker running the frontier
-// unit always proceeds to add — which advances the frontier and wakes the
+// gate blocks until the pending window has room for another cell.
+// Callers hold no cell when they gate, so the worker running the frontier
+// cell always proceeds to add — which advances the frontier and wakes the
 // gate. See Run for the no-deadlock argument.
 func (c *collector) gate() {
 	if c.window <= 0 {

@@ -44,7 +44,7 @@ func tinySpec(n int) Spec {
 // fleetPeakHeap runs an n-cell fleet and returns the peak retained heap
 // growth observed over the run (forced-GC HeapAlloc samples every few
 // thousand cells, relative to the pre-run baseline) plus the engine, whose
-// lastMaxPending / lastMaxBuffered telemetry the caller asserts on.
+// lastMaxPending telemetry the caller asserts on.
 func fleetPeakHeap(t *testing.T, n int) (int64, *Engine) {
 	t.Helper()
 	runtime.GC()
@@ -82,14 +82,13 @@ func fleetPeakHeap(t *testing.T, n int) (int64, *Engine) {
 }
 
 // TestFleetBoundedMemory is the bounded-memory acceptance test: retained
-// heap during a fleet run must be O(workers × batch), not O(N). A 5×
+// heap during a fleet run must be O(workers), not O(N). A 5×
 // population increase (20k → 100k cells) may only grow the peak retained
 // heap by the report's inherent per-cell tail (the per-group scalar
 // distributions, ~48 bytes per cell — kept for the exact percentiles the
 // report promises), never by per-cell engine state. The structural
 // telemetry pins the same contract exactly: the collector's pending window
-// and the planner's buffered cells stay bounded by the flush window at any
-// population size.
+// stays bounded by the per-worker gate at any population size.
 func TestFleetBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second population run")
@@ -110,19 +109,16 @@ func TestFleetBoundedMemory(t *testing.T) {
 			growth, small, large, int(ceiling))
 	}
 
-	// Structural bound: the collector gates unit hand-out at a window of
-	// (flushWindowUnits + workers) batches, and each of the workers may
-	// already hold one in-flight unit when the window fills — so the
-	// pending high-water can overshoot by at most one unit per worker.
+	// Structural bound: the collector gates cell hand-out at a window of
+	// windowPerWorker cells per worker, and each of the workers may
+	// already hold one in-flight cell when the window fills — so the
+	// pending high-water can overshoot by at most one cell per worker.
 	// Independent of N by construction; assert it for both runs.
 	const workers = 4
-	bound := (flushWindowUnits + 2*workers) * DefaultBatchSize
+	bound := (windowPerWorker + 1) * workers
 	for _, eng := range []*Engine{engSmall, engLarge} {
 		if eng.lastMaxPending > bound {
 			t.Errorf("collector pending high-water %d exceeds bound %d", eng.lastMaxPending, bound)
-		}
-		if eng.lastMaxBuffered > bound {
-			t.Errorf("planner buffered high-water %d exceeds bound %d", eng.lastMaxBuffered, bound)
 		}
 	}
 }

@@ -201,40 +201,6 @@ func ByName(name string) (CPUGovernor, error) {
 	}
 }
 
-// ByNameN constructs n independent instances of the named governor in one
-// allocation. The batched fleet kernel gives every device of a batch its
-// own governor (Ondemand and Interactive carry per-device holdoff state)
-// but builds them together, so the slab avoids n small heap objects on the
-// stateful kinds; the stateless value kinds cost nothing either way.
-func ByNameN(name string, n int) ([]CPUGovernor, error) {
-	govs := make([]CPUGovernor, n)
-	switch name {
-	case "ondemand":
-		slab := make([]Ondemand, n)
-		for i := range slab {
-			slab[i] = *NewOndemand()
-			govs[i] = &slab[i]
-		}
-	case "interactive":
-		slab := make([]Interactive, n)
-		for i := range slab {
-			slab[i] = *NewInteractive()
-			govs[i] = &slab[i]
-		}
-	case "performance":
-		for i := range govs {
-			govs[i] = Performance{}
-		}
-	case "powersave":
-		for i := range govs {
-			govs[i] = Powersave{}
-		}
-	default:
-		return nil, fmt.Errorf("governor: unknown governor %q", name)
-	}
-	return govs, nil
-}
-
 // GPU is the utilization-based GPU DVFS governor (the Mali/SGX "dvfs"
 // policy): step up when busy, step down when idle, with hysteresis.
 type GPU struct {

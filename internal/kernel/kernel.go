@@ -325,14 +325,15 @@ func (s *Sched) Tick(dt float64, cluster *platform.Cluster) TickResult {
 // of calling the Demand closures. Tick evaluates every runnable task's
 // closure up to three times per interval (load accounting, displacement
 // sort, core-time and cycle math); TickWith evaluates each exactly zero
-// times, which is what lets the batched fleet kernel compute the
-// device-independent part of scripted demand once per batch.
+// times, which is what lets the simulation loop fill every scripted
+// worker's demand from one Script.Step call per interval.
 //
 // The contract is byte-identity with Tick: the caller guarantees
 // demands[j] == tasks[j].Demand(s.Now()) bitwise for this interval. That
 // holds only for pure demand functions (scripted scenarios, background
 // levels frozen for the tick); benchmark generators advance RNG state on
-// every call and MUST keep using Tick.
+// every call, so benchmark runs MUST keep using Tick — moving them would
+// change how often the RNG is drawn, and with it every benchmark result.
 func (s *Sched) TickWith(dt float64, cluster *platform.Cluster, demands []float64) TickResult {
 	var res TickResult
 	if dt <= 0 {

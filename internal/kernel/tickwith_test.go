@@ -17,7 +17,7 @@ func pureDemand(base float64, i int) func(float64) float64 {
 // frequency/hotplug/migration-heavy history — one via Tick (closure
 // evaluation), one via TickWith (cached demands) — and demands bitwise
 // agreement on every TickResult field, core assignment, and work account.
-// This is the byte-identity contract the batched fleet kernel rests on.
+// This is the byte-identity contract scripted simulation runs rest on.
 func TestTickWithMatchesTick(t *testing.T) {
 	const n = 6 // more tasks than cores: displacement sort has real work
 	mk := func() (*Sched, []*Task) {

@@ -44,19 +44,8 @@ func FuzzScenarioSpec(f *testing.F) {
 		// the clamped out-of-range queries the sim never issues.
 		probes := []float64{-1, 0, c.Duration() / 3, c.Duration() - 1e-3, c.Duration() + 10}
 		for _, tt := range probes {
-			for w := -1; w <= c.Workers(); w++ {
-				d := c.WorkerDemand(w, tt)
-				if math.IsNaN(d) || d < 0 || d > 1 {
-					t.Fatalf("WorkerDemand(%d, %g) = %g out of [0, 1]", w, tt, d)
-				}
-				if d != c.WorkerDemand(w, tt) {
-					t.Fatalf("WorkerDemand(%d, %g) not pure", w, tt)
-				}
-			}
-			cond := c.Conditions(tt)
-			if cond != c.Conditions(tt) {
-				t.Fatalf("Conditions(%g) not pure", tt)
-			}
+			assertStepPure(t, c, tt)
+			cond, _ := step(c, tt)
 			for name, v := range map[string]float64{
 				"gpu_demand": cond.GPUDemand, "ambient": cond.AmbientC,
 				"cpu_activity": cond.CPUActivity, "gpu_activity": cond.GPUActivity,

@@ -91,18 +91,16 @@ func (r *Replay) Duration() float64 { return r.duration }
 // Workers implements sim.Script.
 func (r *Replay) Workers() int { return len(r.workers) }
 
-// WorkerDemand implements sim.Script.
-func (r *Replay) WorkerDemand(i int, t float64) float64 {
-	if i < 0 || i >= len(r.workers) {
-		return 0
-	}
-	return r.workers[i].At(t)
-}
-
-// Conditions implements sim.Script. The recorded gov_id is the effective
+// Step implements sim.Script. The recorded gov_id is the effective
 // governor at each step, so the replayed run performs the same swaps on
 // the same steps; an out-of-range id keeps the current governor.
-func (r *Replay) Conditions(t float64) sim.Conditions {
+func (r *Replay) Step(t float64, demands []float64) sim.Conditions {
+	for i := range demands {
+		demands[i] = 0
+		if i < len(r.workers) {
+			demands[i] = r.workers[i].At(t)
+		}
+	}
 	govName := ""
 	if id := int(r.cond["gov_id"].At(t)); id >= 0 && id < len(governor.Names()) {
 		govName = governor.Names()[id]

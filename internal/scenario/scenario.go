@@ -327,8 +327,7 @@ func (c *Compiled) Phases() int { return len(c.phases) }
 
 // phaseAt returns the phase containing time t, clamping to the first and
 // last phases outside the scripted window. Binary search keeps the lookup
-// O(log phases): it runs several times per control step, and a spec at the
-// bounds flattens to thousands of phases.
+// O(log phases): a spec at the bounds flattens to thousands of phases.
 func (c *Compiled) phaseAt(t float64) *cphase {
 	// First start strictly greater than t, minus one = containing phase.
 	i := sort.SearchFloat64s(c.starts, t)
@@ -341,40 +340,40 @@ func (c *Compiled) phaseAt(t float64) *cphase {
 	return &c.phases[i-1]
 }
 
-// WorkerDemand implements sim.Script. The waveform mirrors the benchmark
-// demand generator (phase modulation plus a small jitter) but is computed
-// as a pure function of (phase, worker, time) — a counter-hashed jitter
-// instead of a stateful RNG — so any instant can be re-queried exactly.
-func (c *Compiled) WorkerDemand(i int, t float64) float64 {
-	p := c.phaseAt(t)
-	if p.idle || i < 0 || i >= p.bench.Threads {
-		return 0
-	}
-	tl := t - p.start
-	d := p.bench.Demand * p.scale
-	if p.bench.PhasePeriod > 0 && p.bench.PhaseAmp > 0 {
-		phase := math.Sin(2 * math.Pi * tl / p.bench.PhasePeriod)
-		d *= 1 + p.bench.PhaseAmp*math.Tanh(3*phase)
-	}
-	d *= 1 + 0.05*jitter(c.seed, int64(p.index), int64(i), int64(tl/0.1))
-	return clamp01(d)
-}
-
-// Conditions implements sim.Script.
-func (c *Compiled) Conditions(t float64) sim.Conditions {
+// Step implements sim.Script with one phase lookup per interval. The
+// demand waveform mirrors the benchmark demand generator (phase modulation
+// plus a small jitter) but is computed as a pure function of (phase,
+// worker, time) — a counter-hashed jitter instead of a stateful RNG — so
+// any instant can be re-queried exactly.
+func (c *Compiled) Step(t float64, demands []float64) sim.Conditions {
 	p := c.phaseAt(t)
 	cond := sim.Conditions{Governor: p.governor, AmbientC: p.ambient}
 	if p.idle {
+		clear(demands)
 		// Background daemons are ordinary integer code.
 		cond.CPUActivity = 1
 		return cond
+	}
+	tl := t - p.start
+	base := p.bench.Demand * p.scale
+	if p.bench.PhasePeriod > 0 && p.bench.PhaseAmp > 0 {
+		phase := math.Sin(2 * math.Pi * tl / p.bench.PhasePeriod)
+		base *= 1 + p.bench.PhaseAmp*math.Tanh(3*phase)
+	}
+	for i := range demands {
+		if i >= p.bench.Threads {
+			demands[i] = 0
+			continue
+		}
+		d := base
+		d *= 1 + 0.05*jitter(c.seed, int64(p.index), int64(i), int64(tl/0.1))
+		demands[i] = clamp01(d)
 	}
 	cond.CPUActivity = p.bench.CPUActivity
 	cond.GPUActivity = p.bench.GPUActivity
 	cond.MemTraffic = p.bench.MemTraffic
 	cond.MemBound = p.bench.MemBound
 	if p.bench.GPUUtil > 0 {
-		tl := t - p.start
 		u := p.bench.GPUUtil * p.scale * (1 + 0.15*math.Sin(2*math.Pi*tl/3.3))
 		cond.GPUDemand = clamp01(u)
 	}

@@ -76,47 +76,78 @@ func TestCompileFlattening(t *testing.T) {
 		t.Errorf("Workers = %d, want 4 (matrixmult threads)", c.Workers())
 	}
 	// Soak: idle, base ambient.
-	cond := c.Conditions(1)
+	cond, d := step(c, 1)
 	if cond.AmbientC != 40 || cond.MemBound != 0 || cond.GPUDemand != 0 {
 		t.Errorf("soak conditions = %+v", cond)
 	}
-	if d := c.WorkerDemand(0, 1); d != 0 {
-		t.Errorf("soak demand = %g, want 0", d)
+	if d[0] != 0 {
+		t.Errorf("soak demand = %g, want 0", d[0])
 	}
 	// First work phase starts at 10 s.
-	if d := c.WorkerDemand(0, 11); d <= 0 || d > 1 {
-		t.Errorf("work demand = %g, want (0, 1]", d)
-	}
-	// Worker index beyond the phase's thread count idles.
-	if d := c.WorkerDemand(4, 11); d != 0 {
-		t.Errorf("out-of-range worker demand = %g", d)
+	if _, d := step(c, 11); d[0] <= 0 || d[0] > 1 {
+		t.Errorf("work demand = %g, want (0, 1]", d[0])
 	}
 	// Past the end, conditions clamp to the last phase.
-	end := c.Conditions(c.Duration() + 5)
+	end, _ := step(c, c.Duration()+5)
 	if end.MemBound != 0 {
 		t.Errorf("past-end conditions = %+v, want idle phase b", end)
 	}
 }
 
+// step calls s.Step at t on a demand buffer pre-filled with a value Step
+// never writes, so an entry it skipped shows up as out of range.
+func step(s sim.Script, t float64) (sim.Conditions, []float64) {
+	d := make([]float64, s.Workers())
+	for i := range d {
+		d[i] = -1
+	}
+	return s.Step(t, d), d
+}
+
+// assertStepPure checks that Step at t writes every demand in [0, 1] and
+// returns the same conditions and demands bit for bit when re-queried.
+func assertStepPure(t *testing.T, s sim.Script, tt float64) {
+	t.Helper()
+	cond, d := step(s, tt)
+	for i, v := range d {
+		if v < 0 || v > 1 || math.IsNaN(v) {
+			t.Fatalf("Step(%g) demand[%d] = %g out of [0,1]", tt, i, v)
+		}
+	}
+	for k := 0; k < 3; k++ {
+		cond2, d2 := step(s, tt)
+		if cond2 != cond {
+			t.Fatalf("Step(%g) conditions not pure: %+v then %+v", tt, cond, cond2)
+		}
+		for i := range d {
+			if math.Float64bits(d2[i]) != math.Float64bits(d[i]) {
+				t.Fatalf("Step(%g) demand[%d] not pure: %g then %g", tt, i, d[i], d2[i])
+			}
+		}
+	}
+}
+
+// TestWorkerDemandPure: both Script implementations — compiled scenarios
+// and trace replays — are pure in t and keep worker demand in [0, 1].
 func TestWorkerDemandPure(t *testing.T) {
 	c, err := Compile(Library()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tt := range []float64{0, 0.05, 17.2, 60, c.Duration() - 0.1} {
-		a := c.WorkerDemand(0, tt)
-		for k := 0; k < 3; k++ {
-			if b := c.WorkerDemand(0, tt); b != a {
-				t.Fatalf("WorkerDemand(0, %g) not pure: %g then %g", tt, a, b)
-			}
-		}
-		if a < 0 || a > 1 || math.IsNaN(a) {
-			t.Fatalf("WorkerDemand(0, %g) = %g out of [0,1]", tt, a)
-		}
-		ca := c.Conditions(tt)
-		if cb := c.Conditions(tt); ca != cb {
-			t.Fatalf("Conditions(%g) not pure", tt)
-		}
+	probes := []float64{0, 0.05, 17.2, 60, c.Duration() - 0.1}
+	for _, tt := range probes {
+		assertStepPure(t, c, tt)
+	}
+	res, err := sim.NewRunner().Run(context.Background(), sim.Options{Policy: sim.PolicyNoFan, Script: c, Seed: 3, ControlPeriod: 0.5, Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := FromTrace(res.Rec, "replay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range probes {
+		assertStepPure(t, replay, tt)
 	}
 }
 
@@ -132,12 +163,12 @@ func TestGovernorAndAmbientPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cond := c.Conditions(5); cond.Governor != "performance" || cond.AmbientC != 50 {
+	if cond, _ := step(c, 5); cond.Governor != "performance" || cond.AmbientC != 50 {
 		t.Errorf("phase 1 conditions = %+v", cond)
 	}
 	// Phase 2 declares neither: the sim keeps what phase 1 set, and the
 	// compiled conditions signal "keep" (empty/zero).
-	if cond := c.Conditions(15); cond.Governor != "" || cond.AmbientC != 0 {
+	if cond, _ := step(c, 15); cond.Governor != "" || cond.AmbientC != 0 {
 		t.Errorf("phase 2 conditions = %+v, want keep markers", cond)
 	}
 }

@@ -55,9 +55,9 @@ func NewBank(cfg Config, seed int64) *Bank {
 }
 
 // Reseed rewinds the bank to the state NewBank(cfg, seed) produces — the
-// recycling hook for batch arenas. rand.Rand.Seed resets both the source
-// and the buffered-read state, so a reseeded bank's reading stream is
-// bit-identical to a fresh bank's.
+// recycling hook for the simulation's pooled arenas. rand.Rand.Seed resets
+// both the source and the buffered-read state, so a reseeded bank's
+// reading stream is bit-identical to a fresh bank's.
 func (b *Bank) Reseed(cfg Config, seed int64) {
 	b.cfg = cfg
 	b.rng.Seed(seed)

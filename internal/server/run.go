@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -28,7 +29,6 @@ type run struct {
 	tenant  string
 	seed    int64
 	workers int
-	batch   int
 	cells   int
 
 	// Exactly one of these carries the parsed spec, per kind.
@@ -71,7 +71,6 @@ func newRun(kind, tenant string, req controlapi.SubmitRequest) *run {
 		tenant:  tenant,
 		seed:    req.Seed,
 		workers: req.Workers,
-		batch:   req.BatchSize,
 		state:   controlapi.StateQueued,
 		pulse:   make(chan struct{}),
 	}
@@ -256,13 +255,19 @@ func (s *Server) execute(r *run) {
 	s.mu.Unlock()
 }
 
-// runWorkers resolves a run's pool size: its own request, else the server
-// default (0 = GOMAXPROCS, the engines' own convention).
+// runWorkers resolves a run's pool size: the server's pool size (its
+// configured default, 0 = GOMAXPROCS), which a run's own request may lower
+// but never raise — a tenant asking for a million workers gets the pool
+// the operator configured, not a goroutine per cell.
 func (s *Server) runWorkers(r *run) int {
-	if r.workers > 0 {
+	limit := s.cfg.Workers
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	if r.workers > 0 && r.workers < limit {
 		return r.workers
 	}
-	return s.cfg.Workers
+	return limit
 }
 
 // executeFleet runs one fleet on the slot's resident engine. The engine is
@@ -275,7 +280,6 @@ func (s *Server) executeFleet(slot *engineSlot, r *run) (reportExports, error) {
 	}
 	eng := slot.fleet
 	eng.Workers = s.runWorkers(r)
-	eng.BatchSize = r.batch
 	eng.OnCellDone = func(p fleet.Progress) {
 		r.appendProgress(controlapi.Event{
 			Done:   p.Done,

@@ -195,28 +195,31 @@ func (s *Server) handleHealth(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// decodeSubmit reads and strictly decodes a submit request body.
-func decodeSubmit(req *http.Request) (controlapi.SubmitRequest, error) {
+// decodeSubmit reads and strictly decodes a submit request body. An
+// unreadable or oversized body is a bad request; a body that does not
+// decode strictly — malformed JSON, a mistyped value, or an unknown field
+// such as the retired "batch_size" — is an invalid spec.
+func decodeSubmit(req *http.Request) (controlapi.SubmitRequest, *controlapi.Error) {
 	body, err := io.ReadAll(io.LimitReader(req.Body, MaxSpecBytes+1))
 	if err != nil {
-		return controlapi.SubmitRequest{}, err
+		return controlapi.SubmitRequest{}, apiError(controlapi.CodeBadRequest, err.Error())
 	}
 	if len(body) > MaxSpecBytes {
-		return controlapi.SubmitRequest{}, fmt.Errorf("request body exceeds %d bytes", MaxSpecBytes)
+		return controlapi.SubmitRequest{}, apiError(controlapi.CodeBadRequest, fmt.Sprintf("request body exceeds %d bytes", MaxSpecBytes))
 	}
 	var sr controlapi.SubmitRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sr); err != nil {
-		return controlapi.SubmitRequest{}, err
+		return controlapi.SubmitRequest{}, apiError(controlapi.CodeInvalidSpec, err.Error())
 	}
 	return sr, nil
 }
 
 func (s *Server) handleSubmitFleet(w http.ResponseWriter, req *http.Request) {
-	sr, err := decodeSubmit(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, apiError(controlapi.CodeBadRequest, err.Error()))
+	sr, apiErr := decodeSubmit(req)
+	if apiErr != nil {
+		writeError(w, http.StatusBadRequest, apiErr)
 		return
 	}
 	// The wire spec is exactly the strict-JSON spec file format: the same
@@ -233,9 +236,9 @@ func (s *Server) handleSubmitFleet(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) handleSubmitCampaign(w http.ResponseWriter, req *http.Request) {
-	sr, err := decodeSubmit(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, apiError(controlapi.CodeBadRequest, err.Error()))
+	sr, apiErr := decodeSubmit(req)
+	if apiErr != nil {
+		writeError(w, http.StatusBadRequest, apiErr)
 		return
 	}
 	dec := json.NewDecoder(bytes.NewReader(sr.Spec))

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -204,6 +205,55 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := cl.Report(ctx, "r999", "json"); !errors.Is(err, controlapi.ErrNotFound) {
 		t.Errorf("unknown run report: %v, want ErrNotFound", err)
+	}
+}
+
+// TestSubmitRetiredBatchSize: the fleet kernel has no batch width any
+// more, so a submission still carrying "batch_size" is rejected by the
+// strict envelope decoder as a typed invalid_spec, not silently accepted.
+func TestSubmitRetiredBatchSize(t *testing.T) {
+	_, ts, _ := newTestDaemon(t, Config{})
+	env, err := json.Marshal(controlapi.SubmitRequest{Spec: specJSON(t, testSpec(2)), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(env[:len(env)-1]) + `,"batch_size":16}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/fleets", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("batch_size submission got %d, want 400", resp.StatusCode)
+	}
+	var apiErr controlapi.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Fatal(err)
+	}
+	if e := apiErr.Error; e == nil || e.Code != controlapi.CodeInvalidSpec || !strings.Contains(e.Message, "batch_size") {
+		t.Errorf("batch_size submission error = %+v, want invalid_spec naming the field", e)
+	}
+}
+
+// TestSubmitWorkersClamped: a run's requested pool size may lower the
+// server's but never raise it, and an absurd request still runs — on the
+// configured pool, not a goroutine per cell.
+func TestSubmitWorkersClamped(t *testing.T) {
+	s, _, cl := newTestDaemon(t, Config{Workers: 2})
+	for _, c := range []struct{ req, want int }{{0, 2}, {-3, 2}, {1, 1}, {2, 2}, {1_000_000, 2}} {
+		if got := s.runWorkers(&run{workers: c.req}); got != c.want {
+			t.Errorf("workers %d resolved to %d, want %d", c.req, got, c.want)
+		}
+	}
+	if got, want := New(Config{}).runWorkers(&run{workers: 1_000_000}), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("unconfigured server resolved 1e6 workers to %d, want GOMAXPROCS %d", got, want)
+	}
+	info, err := cl.SubmitFleet(context.Background(), controlapi.SubmitRequest{Spec: specJSON(t, testSpec(4)), Seed: 1, Workers: 1_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, cl, info.ID); final.State != controlapi.StateSucceeded {
+		t.Errorf("clamped run ended %s: %s", final.State, final.Error)
 	}
 }
 

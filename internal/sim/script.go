@@ -8,8 +8,7 @@ package sim
 // ambient-temperature profiles, and thermal-soak preludes.
 //
 // Every method must be a pure function of its arguments (no internal state
-// advanced per call): the kernel scheduler samples WorkerDemand more than
-// once per tick, and trace replay depends on re-querying the same instants
+// advanced per call): trace replay depends on re-querying the same instants
 // and getting bit-identical values back.
 type Script interface {
 	// Name labels the run (Result.Bench).
@@ -19,12 +18,11 @@ type Script interface {
 	Duration() float64
 	// Workers is the number of foreground worker tasks to schedule.
 	Workers() int
-	// WorkerDemand returns worker i's demanded fraction of
-	// workload.RefCapacity at time t, in [0, 1]. Workers idle in phases
-	// that use fewer threads than Workers.
-	WorkerDemand(i int, t float64) float64
-	// Conditions returns every other scripted quantity at time t.
-	Conditions(t float64) Conditions
+	// Step returns the conditions at time t and writes each worker's
+	// demanded fraction of workload.RefCapacity, in [0, 1], into demands
+	// (len(demands) == Workers()). Workers idle in phases that use fewer
+	// threads than Workers.
+	Step(t float64, demands []float64) Conditions
 }
 
 // Conditions is the non-demand state a Script dictates at one instant.

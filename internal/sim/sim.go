@@ -106,8 +106,10 @@ type Options struct {
 	// Record enables full trace recording.
 	Record bool
 	// PredHorizon is the prediction-accuracy accounting horizon in control
-	// intervals (0 = the paper's 10 intervals = 1 s). It does not change
-	// the DTPM controller's own horizon, only the §6.3.1 accounting.
+	// intervals (0 = the paper's 10 intervals = 1 s; negative = no
+	// accounting, which leaves the Pred* fields zero and records no
+	// "predmax_c"). It does not change the DTPM controller's own horizon,
+	// only the §6.3.1 accounting.
 	PredHorizon int
 	// Model is the identified thermal model (required for PolicyDTPM; also
 	// used for prediction-accuracy accounting in any policy when set).
@@ -128,9 +130,9 @@ type Options struct {
 	Observer func(Sample)
 	// Script, when set, drives a time-varying scenario instead of Bench:
 	// the workload, governor, GPU demand, activity factors, and ambient
-	// temperature are re-read from the script every control interval, and
-	// the run completes when the script's duration elapses. Bench is
-	// ignored. With Record set, the script's inputs are recorded alongside
+	// temperature are re-read from the script every control interval (one
+	// Step call), and the run completes when the script's duration
+	// elapses. Bench is ignored. With Record set, the script's inputs are recorded alongside
 	// the outputs ("demand_w<i>", "gpu_demand", "ambient_c",
 	// "cpu_activity", "gpu_activity", "mem_traffic", "mem_bound",
 	// "gov_id"), which is what makes a trace replayable.
@@ -162,14 +164,15 @@ type Result struct {
 	SSAvgTemp float64
 	SSTempVar float64
 	SSSpread  float64
-	// Prediction accuracy (when a model was provided): the §6.3.1 metrics.
+	// Prediction accuracy (when a model was provided and PredHorizon is not
+	// negative): the §6.3.1 metrics.
 	PredMeanPct float64
 	PredMaxPct  float64
 	PredMaxAbsC float64
 	// Rec holds traces when Options.Record was set: series "maxtemp",
 	// "freq_ghz", "power_w", "fan", "cores", "cluster", "gpu_mhz",
-	// "board", "bigpower_w"; with a model also "predmax_c", and under
-	// PolicyDTPM additionally "dtpm_violation", "dtpm_budget_w",
+	// "board", "bigpower_w"; with prediction accounting also "predmax_c",
+	// and under PolicyDTPM additionally "dtpm_violation", "dtpm_budget_w",
 	// "dtpm_pred_c".
 	Rec *trace.Recorder
 }
@@ -276,13 +279,54 @@ func (r *Runner) computeIdleState() thermal.State {
 	return st
 }
 
-// Run executes one benchmark under one policy. The context cancels the run
-// between control intervals: on cancellation Run returns the partial Result
-// over the completed intervals together with an error wrapping both
-// ErrCancelled and the context's cause. With an Options.Observer attached,
-// the observer has then seen exactly the intervals the partial result (and
-// its recorder, when recording) contains.
+// arena is the recyclable scratch of one Run: every allocation whose
+// lifetime is exactly the run and whose reset-to-fresh state is provable.
+// Campaigns and fleets run millions of cells with a handful in flight, so
+// pooling these turns the per-run slab cost into a one-time cost per
+// worker. Deliberately not pooled: the thermal integrator (scripted
+// ambients write its Params copy), the chip, fan, reactive heuristic and
+// DTPM controller (mutable model state with no reset contract), and the
+// Result with its recorder (they escape to the caller).
+type arena struct {
+	// Rewound instead of reallocated: each type's Reseed/Reset is
+	// bit-identical to a fresh construction.
+	bank  *sensor.Bank
+	bg    *workload.Background
+	sched *kernel.Sched
+
+	tasks  []kernel.Task // fully rewritten per run
+	flat   []float64     // per-step vector buffers, zeroed per run
+	series []float64     // max-core series backing
+	preds  []float64     // prediction-accounting ring backing
+}
+
+var arenas = sync.Pool{New: func() any { return new(arena) }}
+
+// scratch returns s resliced to length n, reallocating only when the
+// pooled backing is too small. Contents are unspecified.
+func scratch[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// release returns the arena to the pool. The task slab is cleared so a
+// future holder does not pin this run's demand closures.
+func (a *arena) release() {
+	clear(a.tasks)
+	arenas.Put(a)
+}
+
+// Run executes one benchmark or script under one policy. The context
+// cancels the run between control intervals: on cancellation Run returns
+// the partial Result over the completed intervals together with an error
+// wrapping both ErrCancelled and the context's cause. With an
+// Options.Observer attached, the observer has then seen exactly the
+// intervals the partial result (and its recorder, when recording)
+// contains.
 func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
+	script := opt.Script
 	if opt.ControlPeriod == 0 {
 		opt.ControlPeriod = 0.1
 	}
@@ -290,8 +334,8 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 		opt.TMax = 63
 	}
 	if opt.MaxDuration == 0 {
-		if opt.Script != nil {
-			opt.MaxDuration = opt.Script.Duration()
+		if script != nil {
+			opt.MaxDuration = script.Duration()
 		} else {
 			opt.MaxDuration = 4 * opt.Bench.NominalDuration()
 			if opt.MaxDuration < 60 {
@@ -314,7 +358,6 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 	maxCores := desc.MaxClusterCores()
 	tsim := thermal.NewSim(r.Thermal)
 	tsim.SetState(r.IdleState())
-	bank := sensor.NewBank(r.Sensors, opt.Seed)
 	// Fanless platforms have no controller: the with-fan policy degenerates
 	// to the plain governor and fan speed stays 0.
 	var fan *thermal.FanController
@@ -362,104 +405,126 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 		}
 	}
 
-	// Workload setup: worker threads plus the Android background load.
-	// Script workers are open-ended (the script decides when they idle);
-	// benchmark workers carry the finite foreground work. All tasks of a
-	// run live in one batch allocation.
-	sched := kernel.NewSched()
-	var gen *workload.Generator
-	var scriptTasks []*kernel.Task
-	var scriptDemandNames []string
-	nWorkers := opt.Bench.Threads
-	if opt.Script != nil {
-		nWorkers = opt.Script.Workers()
-	}
-	sched.Reserve(nWorkers+nodes, maxCores)
-	taskPool := make([]kernel.Task, nWorkers+nodes)
-	if opt.Script != nil {
-		for i := 0; i < nWorkers; i++ {
-			i := i
-			tk := &taskPool[i]
-			*tk = kernel.Task{
-				Name:     fmt.Sprintf("%s-w%d", opt.Script.Name(), i),
-				Demand:   func(t float64) float64 { return opt.Script.WorkerDemand(i, t) },
-				WorkLeft: math.Inf(1),
-			}
-			scriptTasks = append(scriptTasks, tk)
-			sched.Add(tk)
-			if opt.Record {
-				scriptDemandNames = append(scriptDemandNames, fmt.Sprintf("demand_w%d", i))
-			}
-		}
+	a := arenas.Get().(*arena)
+	defer a.release()
+	if a.bank == nil {
+		a.bank = sensor.NewBank(r.Sensors, opt.Seed)
 	} else {
-		gen = workload.NewGenerator(opt.Bench)
-		for i := 0; i < nWorkers; i++ {
-			taskPool[i] = kernel.Task{
-				Name:     opt.Bench.Name,
-				Demand:   gen.DemandAt,
-				MemBound: opt.Bench.MemBound,
-				WorkLeft: opt.Bench.WorkPerThread,
-			}
-			sched.Add(&taskPool[i])
-		}
+		a.bank.Reseed(r.Sensors, opt.Seed)
 	}
-	bg := workload.NewBackgroundN(opt.Seed+77, nodes)
-	bgUtil := bg.UtilAt()
-	for i := 0; i < nodes; i++ {
-		i := i
-		tk := &taskPool[nWorkers+i]
-		*tk = kernel.Task{
-			Name:     bgTaskName(i),
-			Demand:   func(float64) float64 { return bgUtil[i] },
-			MemBound: 0.3,
-			WorkLeft: math.Inf(1),
-		}
-		sched.Add(tk)
+	bank := a.bank
+	if a.bg == nil || a.bg.Cores() != nodes {
+		a.bg = workload.NewBackgroundN(opt.Seed+77, nodes)
+	} else {
+		a.bg.Reseed(opt.Seed + 77)
 	}
+	bg := a.bg
+	if a.sched == nil {
+		a.sched = kernel.NewSched()
+	} else {
+		a.sched.Reset()
+	}
+	sched := a.sched
 
-	res := &Result{Bench: opt.Bench.Name, Policy: opt.Policy}
-	if opt.Script != nil {
-		res.Bench = opt.Script.Name()
-	}
-	if opt.Record {
-		res.Rec = trace.NewRecorder()
-	}
-	govName := opt.Governor
-
-	dt := opt.ControlPeriod
-	horizon := opt.PredHorizon
-	if horizon <= 0 {
-		horizon = 10 // 1 s at 100 ms
-	}
 	// Allocation-reuse invariant: everything the per-step loop touches is
 	// either a fixed-size value or preallocated here at full capacity —
 	// sized from the platform descriptor, not from constants — so the hot
 	// loop itself performs no heap allocation (BenchmarkSimCell* in the
 	// repo root tracks this with -benchmem). Keep it that way when adding
 	// per-step state.
+	dt := opt.ControlPeriod
 	steps := int(opt.MaxDuration/dt) + 1
+	nWorkers := opt.Bench.Threads
+	if script != nil {
+		nWorkers = script.Workers()
+	}
+	nTasks := nWorkers + nodes
 	// One flat backing array for every per-step vector buffer.
-	flat := make([]float64, maxCores+3*nodes)
+	a.flat = scratch(a.flat, maxCores+4*nodes+nTasks)
+	flat := a.flat
+	clear(flat)
 	var (
 		prevUtil    = flat[0:maxCores:maxCores]
+		sensedTemps = flat[maxCores : maxCores+nodes : maxCores+nodes]
+		corePow     = flat[maxCores+nodes : maxCores+2*nodes : maxCores+2*nodes]
+		predStep    = flat[maxCores+2*nodes : maxCores+3*nodes : maxCores+3*nodes]
+		// per-step thermal state snapshot buffer
+		st = thermal.State{Core: flat[maxCores+3*nodes : maxCores+4*nodes : maxCores+4*nodes]}
+		// TickWith input: worker demands, then background levels.
+		demands  = flat[maxCores+4*nodes:]
+		bgLevels = demands[nWorkers:]
+
 		prevGPUUtil float64
 		prevPowers  [platform.NumResources]float64
 		energy      float64
-		sensedTemps = flat[maxCores : maxCores+nodes : maxCores+nodes]
-		corePow     = flat[maxCores+nodes : maxCores+2*nodes : maxCores+2*nodes]
-		// per-step thermal state snapshot buffer
-		st = thermal.State{Core: flat[maxCores+2*nodes : maxCores+3*nodes : maxCores+3*nodes]}
 	)
-	maxTempSeries := make([]float64, 0, steps)
-	// Prediction accounting ring: model-order values per step, stored flat.
+	a.series = scratch(a.series, steps)
+	maxTempSeries := a.series[:0]
+
+	// Workload: worker tasks first, then one background daemon per hotspot
+	// node — the order TickWith's demand indices follow. Script workers are
+	// open-ended (the script decides when they idle) and take the demands
+	// the script writes once per interval. Benchmark workers carry the
+	// finite foreground work and keep their generator closure: it advances
+	// an RNG on every call, so only Tick reproduces its stream.
+	sched.Reserve(nTasks, maxCores)
+	a.tasks = scratch(a.tasks, nTasks)
+	tasks := a.tasks
+	var gen *workload.Generator
+	if script != nil {
+		for i := 0; i < nWorkers; i++ {
+			tasks[i] = kernel.Task{Name: script.Name(), WorkLeft: math.Inf(1)}
+		}
+	} else {
+		gen = workload.NewGenerator(opt.Bench)
+		for i := 0; i < nWorkers; i++ {
+			tasks[i] = kernel.Task{
+				Name:     opt.Bench.Name,
+				Demand:   gen.DemandAt,
+				MemBound: opt.Bench.MemBound,
+				WorkLeft: opt.Bench.WorkPerThread,
+			}
+		}
+	}
+	copy(bgLevels, bg.UtilAt())
+	for i := 0; i < nodes; i++ {
+		tasks[nWorkers+i] = kernel.Task{Name: bgTaskName(i), MemBound: 0.3, WorkLeft: math.Inf(1)}
+		if script == nil {
+			tasks[nWorkers+i].Demand = func(float64) float64 { return bgLevels[i] }
+		}
+	}
+	for i := range tasks {
+		sched.Add(&tasks[i])
+	}
+
+	res := &Result{Bench: opt.Bench.Name, Policy: opt.Policy}
+	var scriptDemandNames []string
+	if script != nil {
+		res.Bench = script.Name()
+	}
+	if opt.Record {
+		res.Rec = trace.NewRecorder()
+		if script != nil {
+			for i := 0; i < nWorkers; i++ {
+				scriptDemandNames = append(scriptDemandNames, fmt.Sprintf("demand_w%d", i))
+			}
+		}
+	}
+	govName := opt.Governor
+
+	// Prediction-accuracy accounting (§6.3.1): model-order predictions per
+	// step, stored flat. A negative horizon switches it off.
+	horizon := opt.PredHorizon
+	if horizon == 0 {
+		horizon = 10 // 1 s at 100 ms
+	}
 	var (
 		predRing  []float64
-		predStep  []float64
 		predictor *sysid.Predictor
 	)
-	if opt.Model != nil {
-		predRing = make([]float64, 0, steps*nodes)
-		predStep = make([]float64, nodes)
+	if opt.Model != nil && horizon > 0 {
+		a.preds = scratch(a.preds, steps*nodes)
+		predRing = a.preds[:0]
 		predictor = opt.Model.NewPredictor()
 	}
 	// Initialize the power observation with an idle reading.
@@ -471,8 +536,8 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 	// Cancellation is checked at the top of every control interval against
 	// the context's done channel, fetched once: Done() on a cancellable
 	// context allocates its channel lazily, and per-step Err() would take
-	// its lock. context.Background keeps done nil, so the batch path pays
-	// one never-ready select case per step and nothing else.
+	// its lock. context.Background keeps done nil, so a run pays one
+	// never-ready select case per step and nothing else.
 	done := ctx.Done()
 	cancelled := false
 
@@ -486,14 +551,23 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 		if cancelled {
 			break
 		}
-		// Scripted scenarios re-read their conditions every interval:
-		// governor swaps take effect like a scaling_governor write (fresh
-		// instance, only when the name changes, so replayed swaps land on
-		// the same step with the same state), ambient moves the ground
-		// truth, and the workers' memory-boundedness follows the phase.
+		// Interval conditions. A benchmark fixes them for the whole run
+		// except its GPU load. A script re-states them every interval in
+		// one Step call that also writes the worker demands: governor swaps
+		// take effect like a scaling_governor write (fresh instance, only
+		// when the name changes, so replayed swaps land on the same step
+		// with the same state), ambient moves the ground truth, and the
+		// workers' memory-boundedness follows the phase.
 		var cond Conditions
-		if opt.Script != nil {
-			cond = opt.Script.Conditions(elapsed)
+		if script == nil {
+			cond = Conditions{
+				GPUDemand:   gen.GPUUtilAt(elapsed),
+				CPUActivity: opt.Bench.CPUActivity,
+				GPUActivity: opt.Bench.GPUActivity,
+				MemTraffic:  opt.Bench.MemTraffic,
+			}
+		} else {
+			cond = script.Step(elapsed, demands[:nWorkers])
 			if cond.Governor != "" && cond.Governor != govName {
 				ng, gerr := governor.ByName(cond.Governor)
 				if gerr != nil {
@@ -504,12 +578,12 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 			if cond.AmbientC != 0 {
 				tsim.P.Ambient = cond.AmbientC
 			}
-			for _, tk := range scriptTasks {
-				tk.MemBound = cond.MemBound
+			for i := 0; i < nWorkers; i++ {
+				tasks[i].MemBound = cond.MemBound
 			}
 			if res.Rec != nil {
 				for i, name := range scriptDemandNames {
-					res.Rec.Record(name, elapsed, opt.Script.WorkerDemand(i, elapsed))
+					res.Rec.Record(name, elapsed, demands[i])
 				}
 				res.Rec.Record("gpu_demand", elapsed, cond.GPUDemand)
 				res.Rec.Record("ambient_c", elapsed, tsim.P.Ambient)
@@ -550,15 +624,11 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 				effFreq = cap
 			}
 		case PolicyDTPM:
-			gpuActive := opt.Bench.GPUUtil > 0
-			if opt.Script != nil {
-				gpuActive = cond.GPUDemand > 0
-			}
 			dec := ctrl.Update(chip, dtpm.Inputs{
 				Temps:        sensedTemps,
 				Powers:       sensedPowers,
 				GovernorFreq: govFreq,
-				GPUActive:    gpuActive,
+				GPUActive:    cond.GPUDemand > 0,
 			})
 			if res.Rec != nil {
 				viol := 0.0
@@ -606,7 +676,7 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 
 		// Prediction-accuracy accounting: predict the hottest core 1 s
 		// ahead from the current sensed state under current power.
-		if opt.Model != nil {
+		if predictor != nil {
 			pred := predictor.PredictConstInto(predStep, sensedTemps, sensedPowers[:], horizon)
 			predRing = append(predRing, pred...)
 			if res.Rec != nil {
@@ -617,16 +687,21 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 				// would widen the CSV's union time grid past the scenario
 				// end and corrupt the duration a replay infers from it.
 				predT := elapsed + float64(horizon)*dt
-				if opt.Script != nil {
+				if script != nil {
 					predT = elapsed
 				}
 				res.Rec.Record("predmax_c", predT, stats.Max(pred))
 			}
 		}
 
-		// Advance the workload and refresh the background levels.
-		bgUtil = bg.UtilAt()
-		tick := sched.Tick(dt, active)
+		// Advance the workload on the refreshed background levels.
+		copy(bgLevels, bg.UtilAt())
+		var tick kernel.TickResult
+		if script != nil {
+			tick = sched.TickWith(dt, active, demands)
+		} else {
+			tick = sched.Tick(dt, active)
+		}
 		// Copy the realized utilization (the tick buffer is reused): the
 		// tail beyond the active cluster's width is zeroed so a cluster
 		// migration never leaves stale readings for the governor.
@@ -635,33 +710,24 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 		}
 
 		// GPU load: demand expressed at the max GPU frequency.
-		gpuDemand := cond.GPUDemand
-		if opt.Script == nil {
-			gpuDemand = gen.GPUUtilAt(elapsed)
-		}
 		gpuScale := float64(chip.GPUDomain.MaxFreq()) / float64(chip.GPUFreq())
-		prevGPUUtil = math.Min(1, gpuDemand*gpuScale)
+		prevGPUUtil = math.Min(1, cond.GPUDemand*gpuScale)
 
-		// Ground-truth power and thermal step.
+		// Ground-truth power and thermal step, the power in one fused pass.
 		sumUtil := 0.0
 		for _, u := range tick.CoreUtil {
 			sumUtil += u
 		}
-		cpuAct, gpuAct, memTraffic := opt.Bench.CPUActivity, opt.Bench.GPUActivity, opt.Bench.MemTraffic
-		if opt.Script != nil {
-			cpuAct, gpuAct, memTraffic = cond.CPUActivity, cond.GPUActivity, cond.MemTraffic
-		}
 		act := power.ChipActivity{
 			CoreUtil:    tick.CoreUtil,
-			CPUActivity: cpuAct,
+			CPUActivity: cond.CPUActivity,
 			GPUUtil:     prevGPUUtil,
-			GPUActivity: gpuAct,
-			MemTraffic:  memTraffic*math.Min(1, sumUtil) + 0.4*prevGPUUtil,
+			GPUActivity: cond.GPUActivity,
+			MemTraffic:  cond.MemTraffic*math.Min(1, sumUtil) + 0.4*prevGPUUtil,
 			FanSpeed:    fanSpeed,
 		}
-		breakdown := r.GT.Evaluate(chip, act, st.Core, st.Board)
+		breakdown, boardPow := r.GT.StepInto(corePow, chip, act, st.Core, st.Board)
 		prevPowers = breakdown.Domain
-		boardPow := r.GT.CorePowersInto(corePow, chip, act, st.Core, st.Board)
 		tsim.Step(dt, thermal.Input{CorePower: corePow, BoardPower: boardPow, FanSpeed: fanSpeed})
 
 		// Metrics.
@@ -707,11 +773,11 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 		}
 		elapsed += dt
 
-		if opt.Script != nil {
+		if script != nil {
 			// A script completes on its clock, not on retired work (its
 			// workers are open-ended, so AllForegroundDone would fire
 			// immediately).
-			if elapsed >= opt.Script.Duration()-1e-9 {
+			if elapsed >= script.Duration()-1e-9 {
 				res.Completed = true
 				break
 			}
@@ -721,7 +787,7 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 		}
 	}
 
-	if res.Completed && opt.Script == nil {
+	if res.Completed && script == nil {
 		res.ExecTime = sched.LastFinish()
 	} else {
 		res.ExecTime = elapsed
@@ -744,7 +810,7 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 
 	// Close the prediction accounting: compare each prediction with the
 	// true temperature measured `horizon` intervals later.
-	if opt.Model != nil {
+	if predictor != nil {
 		var sum, worst, worstAbs float64
 		n := 0
 		for k := 0; k+horizon < len(maxTempSeries) && k < len(predRing)/nodes; k++ {

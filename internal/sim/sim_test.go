@@ -226,6 +226,68 @@ func TestRecorderSeries(t *testing.T) {
 	}
 }
 
+// TestPredHorizonOff: a negative PredHorizon switches the §6.3.1
+// accounting off — Pred* stay zero and no "predmax_c" is recorded — and
+// changes nothing else: every other Result field, every observed Sample,
+// and every other recorded series is bitwise what PredHorizon 0 gives.
+func TestPredHorizonOff(t *testing.T) {
+	ch := characterize(t)
+	b, _ := workload.ByName("templerun")
+	for _, pol := range Policies() {
+		runWith := func(horizon int) (*Result, []Sample) {
+			var samples []Sample
+			res, err := NewRunner().Run(context.Background(), Options{
+				Policy: pol, Bench: b, Seed: 9, Record: true, PredHorizon: horizon,
+				Model: ch.Thermal, PowerModel: ch.Power,
+				Observer: func(s Sample) { samples = append(samples, s) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, samples
+		}
+		on, onSamples := runWith(0)
+		off, offSamples := runWith(-1)
+		if on.PredMeanPct == 0 || on.Rec.Series("predmax_c") == nil {
+			t.Fatalf("%v: PredHorizon 0 did no accounting", pol)
+		}
+		if off.PredMeanPct != 0 || off.PredMaxPct != 0 || off.PredMaxAbsC != 0 {
+			t.Errorf("%v: PredHorizon -1 computed accuracy %g/%g/%g", pol, off.PredMeanPct, off.PredMaxPct, off.PredMaxAbsC)
+		}
+		if off.Rec.Series("predmax_c") != nil {
+			t.Errorf("%v: PredHorizon -1 recorded predmax_c", pol)
+		}
+		onCore, offCore := *on, *off
+		onCore.PredMeanPct, onCore.PredMaxPct, onCore.PredMaxAbsC = 0, 0, 0
+		onCore.Rec, offCore.Rec = nil, nil
+		if onCore != offCore {
+			t.Errorf("%v: results differ beyond Pred*:\n  on  %+v\n  off %+v", pol, onCore, offCore)
+		}
+		if len(onSamples) != len(offSamples) {
+			t.Fatalf("%v: %d samples vs %d", pol, len(onSamples), len(offSamples))
+		}
+		for k := range onSamples {
+			if onSamples[k] != offSamples[k] {
+				t.Fatalf("%v: step %d sample differs: %+v vs %+v", pol, k, onSamples[k], offSamples[k])
+			}
+		}
+		for _, name := range on.Rec.Names() {
+			if name == "predmax_c" {
+				continue
+			}
+			a, b := on.Rec.Series(name), off.Rec.Series(name)
+			if b == nil || len(a.Vals) != len(b.Vals) {
+				t.Fatalf("%v: series %q missing or resized", pol, name)
+			}
+			for i := range a.Vals {
+				if math.Float64bits(a.Vals[i]) != math.Float64bits(b.Vals[i]) || a.Times[i] != b.Times[i] {
+					t.Fatalf("%v: series %q differs at %d", pol, name, i)
+				}
+			}
+		}
+	}
+}
+
 // TestDeterminism: identical options must give identical results.
 func TestDeterminism(t *testing.T) {
 	ch := characterize(t)

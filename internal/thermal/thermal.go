@@ -249,7 +249,7 @@ func (s *Sim) StateInto(dst *State) *State {
 // derivative evaluates dT/dt for the given state and input, writing the
 // core derivatives into dCore.
 func (s *Sim) derivative(st State, in Input, dCore []float64) (dBoard float64) {
-	p := s.P
+	p := &s.P // by pointer: this runs four times per RK4 sub-step
 	// Convective conductance grows strongly superlinearly with fan duty
 	// (airflow rises with RPM and the boundary layer thins with airflow);
 	// a quartic law makes the stock controller's idle duty nearly neutral
@@ -349,7 +349,7 @@ func (s *Sim) SteadyState(in Input) State {
 
 // coreAsym returns the effective asymmetry multiplier for core i,
 // treating a zero (or absent) entry as 1.
-func coreAsym(p Params, i int) float64 {
+func coreAsym(p *Params, i int) float64 {
 	if i >= len(p.CoreAsym) || p.CoreAsym[i] == 0 {
 		return 1
 	}
@@ -507,7 +507,7 @@ func (p Params) StabilityEigenvalues() []float64 {
 	}
 	nbr := p.neighbors()
 	for i := 0; i < n; i++ {
-		gcb := p.GCoreBoard * coreAsym(p, i)
+		gcb := p.GCoreBoard * coreAsym(&p, i)
 		G[i][i] += gcb
 		G[i][dim-1] -= gcb
 		G[dim-1][i] -= gcb

@@ -269,9 +269,10 @@ func NewBackgroundN(seed int64, n int) *Background {
 func (bg *Background) Cores() int { return len(bg.level) }
 
 // Reseed rewinds the generator to the state NewBackgroundN(seed, Cores())
-// produces — the recycling hook for batch arenas: the RNG restarts from
-// seed and the smoothed levels drop back to their zero initial state, so
-// the reseeded demand stream is bit-identical to a fresh generator's.
+// produces — the recycling hook for the simulation's pooled arenas: the
+// RNG restarts from seed and the smoothed levels drop back to their zero
+// initial state, so the reseeded demand stream is bit-identical to a fresh
+// generator's.
 func (bg *Background) Reseed(seed int64) {
 	bg.rng.Seed(seed)
 	clear(bg.level)
