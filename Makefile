@@ -36,8 +36,10 @@ MAX_BATCH_BYTES ?= 400000
 # folded into the online aggregators, no trace retained);
 # BenchmarkFleetThroughput covers a whole 64-device fleet on one worker
 # through the per-device kernel (pooled arenas, fused power, scripted
-# demand via TickWith).
-HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$
+# demand via TickWith); BenchmarkFleetWarmRun covers a 256-device fleet
+# served entirely from the result store (key digest, entry read and
+# verify, binary decode into pooled aggregators).
+HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarmRun$$
 
 all: build
 
@@ -112,6 +114,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioSpec$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetSpec$$' -fuzztime $(FUZZTIME) ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzCellEntry$$' -fuzztime $(FUZZTIME) ./internal/fleet
 
 # Coverage profile + total, the same numbers the CI coverage gate checks.
 cover:

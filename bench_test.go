@@ -21,6 +21,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -238,6 +239,50 @@ func BenchmarkFleetThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(spec.N*b.N)/b.Elapsed().Seconds(), "devices/sec")
+}
+
+// BenchmarkFleetWarmRun is the store-read layer end to end: a 256-device
+// population served entirely from a temp result store on one worker —
+// per cell a key digest, an entry read and verify, a binary decode into a
+// pooled aggregator, and the merge — reported as cells/sec. The store is
+// filled by an unmeasured cold run and one untimed warm run precedes the
+// timer, so allocs/op (gated by bench-json) counts the steady warm state.
+func BenchmarkFleetWarmRun(b *testing.B) {
+	ctx := benchContext(b)
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := fleet.Spec{
+		N:              256,
+		Policy:         "dtpm",
+		Scenarios:      []fleet.Weight{{Name: "cold-start", Weight: 1}},
+		AmbientJitterC: 5,
+	}
+	fill := &fleet.Engine{Runner: ctx.Runner, Models: ctx.Char, BaseSeed: 1, Store: st}
+	eng := &fleet.Engine{Workers: 1, Runner: ctx.Runner, Models: ctx.Char, BaseSeed: 1, Store: st}
+	for _, e := range []*fleet.Engine{fill, eng} {
+		if _, err := e.Run(context.Background(), spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before := st.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := eng.Run(context.Background(), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Completed != spec.N {
+			b.Fatalf("only %d/%d cells completed", rep.Completed, spec.N)
+		}
+	}
+	b.StopTimer()
+	if s := st.Stats(); s.Misses != before.Misses {
+		b.Fatalf("warm runs missed the store %d times", s.Misses-before.Misses)
+	}
+	b.ReportMetric(float64(spec.N*b.N)/b.Elapsed().Seconds(), "cells/sec")
 }
 
 // calibrationBytes is the fixed input BenchmarkHostCalibration hashes per

@@ -88,7 +88,7 @@ func run(ctx context.Context, restoreSignals func(), args []string, stderr io.Wr
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer()
 	storeNote := "store off"
 	if cfg.Store != nil {
 		storeNote = "store " + cfg.Store.Dir()

@@ -56,9 +56,10 @@ type cellAgg struct {
 }
 
 // aggPool recycles cell aggregators — the histogram backing dominates a
-// cell's footprint, and on store-less runs the collector returns each one
-// the moment its merge folds it, so a million-cell fleet cycles through a
-// worker-count-sized set of them instead of allocating a million.
+// cell's footprint, and the collector returns each one the moment its
+// merge folds it, so a million-cell fleet cycles through a
+// worker-count-sized set of them instead of allocating a million. Store
+// hits decode into pooled aggregators too.
 var aggPool = sync.Pool{New: func() any {
 	return &cellAgg{skin: stats.NewHistogram(skinLoC, skinHiC, skinBins)}
 }}
@@ -70,8 +71,9 @@ func newCellAgg(desc *platform.Descriptor, tmax float64) *cellAgg {
 	return a
 }
 
-// releaseCellAgg returns a merged aggregator to the pool. Callers must be
-// the last reader: the collector only recycles on store-less runs.
+// releaseCellAgg returns an aggregator to the pool. Callers must be the
+// last reader: the collector, after the merge (store-backed cells were
+// already encoded by their worker), or a lookup whose decode failed.
 func releaseCellAgg(a *cellAgg) {
 	if a == nil {
 		return

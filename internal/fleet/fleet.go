@@ -197,10 +197,6 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 		return nil, err
 	}
 	coll := newCollector(spec.N)
-	// The collector returns each merged cell's aggregator to the pool —
-	// but only on store-less runs: with a store attached the async writer may
-	// still be marshalling an aggregate after the merge has folded it.
-	coll.recycle = e.Store == nil
 	var (
 		mu   sync.Mutex
 		done int
@@ -211,8 +207,10 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	// goroutine, and workers block only when the store falls that far
 	// behind.
 	var writer *storeWriter
+	put := func(store.Digest, []byte) {}
 	if e.Store != nil {
-		writer = e.startWriter(spec, window)
+		writer = startWriter(e.Store, window)
+		put = writer.enqueue
 	}
 	// Cells are handed out one at a time in index order. Backpressure: a
 	// worker may not take a new cell while the collector's pending window
@@ -233,7 +231,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 		next++
 		return next - 1, true
 	}, func(i int) {
-		out := e.runIndex(ctx, spec, pol, i, writer)
+		out := e.storedCell(ctx, spec, pol, DeriveCell(spec, e.BaseSeed, i), put)
 		coll.add(i, out)
 		if e.OnCellDone != nil {
 			mu.Lock()
@@ -251,27 +249,10 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	return rep, nil
 }
 
-// runIndex executes cell i of a fleet run. With a store attached it is
-// lookup-or-compute: hits are served as-is, and computed outcomes go to
-// the async store writer, which persists them off the hot path (the
-// collector never recycles aggregators on store-backed runs, so the
-// writer's reads stay safe).
-func (e *Engine) runIndex(ctx context.Context, spec Spec, pol sim.Policy, i int, writer *storeWriter) cellOutcome {
-	if e.Store != nil {
-		if out, ok := e.lookupCell(spec, i); ok {
-			return out
-		}
-	}
-	out := e.runCell(ctx, spec, pol, i, false)
-	writer.enqueue(out)
-	return out
-}
-
 // runCell executes one device cell; every failure mode becomes a collected
 // outcome. With record set the full trace is retained (the replay path);
 // the fleet path keeps only the aggregate.
-func (e *Engine) runCell(ctx context.Context, spec Spec, pol sim.Policy, index int, record bool) cellOutcome {
-	cfg := DeriveCell(spec, e.BaseSeed, index)
+func (e *Engine) runCell(ctx context.Context, spec Spec, pol sim.Policy, cfg CellConfig, record bool) cellOutcome {
 	out := cellOutcome{cfg: cfg}
 	if ctx.Err() != nil {
 		out.err = "fleet: cancelled before start"
@@ -375,26 +356,25 @@ func (e *Engine) cell(ctx context.Context, spec Spec, index int, record bool) (c
 	if err != nil {
 		return cellOutcome{}, err
 	}
-	if e.Store != nil {
-		if record {
-			cfg := DeriveCell(spec, e.BaseSeed, index)
-			if out, ok := e.lookupTrace(spec, cfg); ok {
-				return out, nil
+	cfg := DeriveCell(spec, e.BaseSeed, index)
+	var out cellOutcome
+	if record {
+		if e.Store != nil {
+			if hit, ok := e.lookupTrace(spec, cfg); ok {
+				return hit, nil
 			}
-		} else if out, ok := e.lookupCell(spec, index); ok {
-			return out, nil
 		}
+		out = e.runCell(ctx, spec, pol, cfg, true)
+		if e.Store != nil {
+			e.putTrace(spec, out)
+		}
+	} else {
+		out = e.storedCell(ctx, spec, pol, cfg, func(key store.Digest, payload []byte) {
+			_ = e.Store.Put(key, payload) // non-fatal: the next probe recomputes
+		})
 	}
-	out := e.runCell(ctx, spec, pol, index, record)
 	if out.err != "" {
 		return out, fmt.Errorf("fleet: cell %d: %s", index, out.err)
-	}
-	if e.Store != nil {
-		if record {
-			e.putTrace(spec, out)
-		} else {
-			e.putCell(spec, out)
-		}
 	}
 	return out, nil
 }
@@ -404,7 +384,9 @@ func (e *Engine) cell(ctx context.Context, spec Spec, index int, record bool) (c
 // lock and merged the moment every lower-indexed cell has been merged too
 // — so the merge happens strictly in cell-index order (the
 // byte-determinism contract) while each cell's aggregator (its histogram
-// backing) is recycled as soon as it is folded in. The pending window is
+// backing) is recycled as soon as it is folded in. Nothing else reads an
+// aggregator after it reaches the collector: a store-backed cell was
+// encoded by its worker before it was added. The pending window is
 // hard-bounded by the gate: workers wait for window room before taking a
 // new cell, so pending stays O(workers), never O(N) — that, not a cells-length slice, is what lets a million-device
 // fleet run in memory independent of N. Only the per-group scalar tails
@@ -423,10 +405,6 @@ type collector struct {
 	groups    map[[2]string]*groupAgg
 	keys      [][2]string
 
-	// recycle returns merged aggregators to the arena pool. Disabled on
-	// store-backed runs: the async writer may still be marshalling an
-	// aggregate after the merge folded it.
-	recycle bool
 	// window caps the pending map: gate blocks cell hand-out while the
 	// window is full (0 = ungated).
 	window int
@@ -490,9 +468,7 @@ func (c *collector) add(i int, out cellOutcome) {
 			c.overall.merge(o.agg, o.metrics)
 			c.completed++
 		}
-		if c.recycle {
-			releaseCellAgg(o.agg)
-		}
+		releaseCellAgg(o.agg)
 		c.next++
 	}
 	c.cond.Broadcast()

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -76,4 +78,28 @@ func inMix(ws []Weight, name string) bool {
 		}
 	}
 	return false
+}
+
+// FuzzCellEntry holds the store-entry decoder to its contract on arbitrary
+// bytes: it never panics, and any payload it accepts re-encodes to exactly
+// the same bytes (the codec is canonical, so a warm entry can only carry
+// the state it was written with).
+func FuzzCellEntry(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for _, vals := range [][]float64{{0}, {math.NaN(), math.Inf(-1), math.Copysign(0, -1)}} {
+		a, m := randomEntry(rng, vals)
+		f.Add(appendCellEntry(nil, a, m))
+	}
+	f.Add(appendCellEntry(nil, newEntryAgg(), &CellMetrics{}))
+	f.Add([]byte(cellMagic))
+	f.Add([]byte(`{"skin":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, m := newEntryAgg(), &CellMetrics{}
+		if err := decodeCellEntry(data, a, m); err != nil {
+			return
+		}
+		if again := appendCellEntry(nil, a, m); !bytes.Equal(again, data) {
+			t.Fatalf("accepted payload re-encodes differently:\nin:  %x\nout: %x", data, again)
+		}
+	})
 }

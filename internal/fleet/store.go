@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -32,19 +35,109 @@ type cellKey struct {
 	Models         string        `json:"models"`
 }
 
-// cellEntry is the persisted outcome of one fleet cell: the full aggregator
-// state (not just the metrics), because the group merge consumes histogram
-// bins and moments — caching anything less could not rebuild a warm report
-// byte-identical to a cold one. encoding/json round-trips float64 values
-// bit-exactly (shortest-round-trip formatting), so it can.
-type cellEntry struct {
-	Skin     *stats.Histogram `json:"skin"`
-	SkinM    stats.Moments    `json:"skin_m"`
-	CoreM    stats.Moments    `json:"core_m"`
-	OverN    uint64           `json:"over_n"`
-	N        uint64           `json:"n"`
-	FreqFrac float64          `json:"freq_frac"`
-	Metrics  CellMetrics      `json:"metrics"`
+// Kind tags of the fleet's store entries. Aggregate cells are binary
+// (see appendCellEntry); the tag names the payload format, so entries of
+// the former JSON format ("fleet-cell") live under other digests and read
+// as plain misses, and an old binary and a new one sharing a store never
+// overwrite each other's entries.
+const (
+	kindCell  = "fleet-cell.bin"
+	kindTrace = "fleet-trace"
+)
+
+// A cell entry is the persisted outcome of one fleet cell: the full
+// aggregator state (not just the metrics), because the group merge
+// consumes histogram bins and moments — caching anything less could not
+// rebuild a warm report byte-identical to a cold one. Its layout:
+//
+//	magic "FCEL", version byte
+//	skin histogram, skin moments, core moments (stats binary codecs)
+//	overN, n (uint64), freqFrac (float bits)
+//	metrics: completed byte (0/1), exec, energy, avg power, throttle,
+//	  perf loss, max skin, max core (float bits), samples (uint64)
+//
+// Fixed-width fields are little-endian, and floats travel as their bit
+// patterns, so every value round-trips bit-exactly.
+const (
+	cellMagic   = "FCEL"
+	cellVersion = 1
+	// cellTailLen is the fixed-width tail after the moments: three
+	// aggregate scalars, the completed byte, seven metric floats and the
+	// sample count.
+	cellTailLen = 3*8 + 1 + 7*8 + 8
+)
+
+// appendCellEntry appends the entry encoding of one cell's aggregator and
+// metrics to b.
+func appendCellEntry(b []byte, a *cellAgg, m *CellMetrics) []byte {
+	b = append(b, cellMagic...)
+	b = append(b, cellVersion)
+	// The stats appenders never fail.
+	b, _ = a.skin.AppendBinary(b)
+	b, _ = a.skinM.AppendBinary(b)
+	b, _ = a.coreM.AppendBinary(b)
+	b = binary.LittleEndian.AppendUint64(b, a.overN)
+	b = binary.LittleEndian.AppendUint64(b, a.n)
+	b = appendFloat(b, a.freqFrac)
+	completed := byte(0)
+	if m.Completed {
+		completed = 1
+	}
+	b = append(b, completed)
+	for _, v := range [...]float64{m.ExecS, m.EnergyJ, m.AvgPowerW, m.ThrottleFrac, m.PerfLossFrac, m.MaxSkinC, m.MaxCoreC} {
+		b = appendFloat(b, v)
+	}
+	return binary.LittleEndian.AppendUint64(b, m.Samples)
+}
+
+// decodeCellEntry decodes one entry into a (whose skin histogram must have
+// the report's shape — an entry of any other shape is rejected) and m. It
+// is strict: a wrong magic or version, a foreign histogram shape, a
+// truncated field, a completed byte other than 0/1, or trailing bytes are
+// all errors, so a payload it accepts re-encodes to the same bytes.
+func decodeCellEntry(data []byte, a *cellAgg, m *CellMetrics) error {
+	if len(data) < len(cellMagic)+1 || string(data[:len(cellMagic)]) != cellMagic {
+		return errors.New("fleet: cell entry: bad magic")
+	}
+	if v := data[len(cellMagic)]; v != cellVersion {
+		return fmt.Errorf("fleet: cell entry: version %d, want %d", v, cellVersion)
+	}
+	rest, err := a.skin.DecodeBinary(data[len(cellMagic)+1:])
+	if err == nil {
+		rest, err = a.skinM.DecodeBinary(rest)
+	}
+	if err == nil {
+		rest, err = a.coreM.DecodeBinary(rest)
+	}
+	if err != nil {
+		return fmt.Errorf("fleet: cell entry: %w", err)
+	}
+	if len(rest) != cellTailLen {
+		return fmt.Errorf("fleet: cell entry: tail %d bytes, want %d", len(rest), cellTailLen)
+	}
+	if rest[24] > 1 {
+		return fmt.Errorf("fleet: cell entry: completed byte %d", rest[24])
+	}
+	u := func(off int) uint64 { return binary.LittleEndian.Uint64(rest[off:]) }
+	f := func(off int) float64 { return math.Float64frombits(u(off)) }
+	a.overN, a.n, a.freqFrac = u(0), u(8), f(16)
+	*m = CellMetrics{
+		Completed:    rest[24] == 1,
+		ExecS:        f(25),
+		EnergyJ:      f(33),
+		AvgPowerW:    f(41),
+		ThrottleFrac: f(49),
+		PerfLossFrac: f(57),
+		MaxSkinC:     f(65),
+		MaxCoreC:     f(73),
+		Samples:      u(81),
+	}
+	return nil
+}
+
+// appendFloat appends v's bit pattern, little-endian.
+func appendFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
 // traceEntry is the persisted outcome of one replayed cell: the run's
@@ -79,9 +172,9 @@ func modelsDigestTag(c *sim.Characterization) string {
 }
 
 // cellDigest computes the content address of one cell under a kind tag
-// ("fleet-cell" for aggregates, "fleet-trace" for replay traces). ok=false
-// means the cell cannot be addressed (e.g. its scenario is not resolvable);
-// the caller just computes without the store.
+// (kindCell for aggregates, kindTrace for replay traces). ok=false means
+// the cell cannot be addressed (e.g. its scenario is not resolvable); the
+// caller just computes without the store.
 func (e *Engine) cellDigest(spec Spec, cfg CellConfig, kind string) (store.Digest, bool) {
 	sc, err := scenario.ByName(cfg.Scenario)
 	if err != nil {
@@ -106,67 +199,47 @@ func (e *Engine) cellDigest(spec Spec, cfg CellConfig, kind string) (store.Diges
 	return d, true
 }
 
-// lookupCell serves one cell's aggregate outcome from the store. ok=false
-// on any miss — never stored, corrupt entry, stale engine, or an entry
-// whose histogram shape does not match the report contract (possible only
-// through foreign bytes; treated as a recomputable miss, never trusted).
-func (e *Engine) lookupCell(spec Spec, index int) (cellOutcome, bool) {
-	cfg := DeriveCell(spec, e.BaseSeed, index)
-	key, ok := e.cellDigest(spec, cfg, "fleet-cell")
+// storedCell is lookup-or-compute for one aggregate cell. A hit decodes
+// straight into a pooled aggregator. A computed success is encoded here,
+// by the caller's goroutine, and handed to put with the digest the lookup
+// already computed — so nothing downstream reads the aggregator, and the
+// collector may recycle it the moment it is merged. Without a store (or
+// for a cell that cannot be addressed) it just computes.
+func (e *Engine) storedCell(ctx context.Context, spec Spec, pol sim.Policy, cfg CellConfig, put func(store.Digest, []byte)) cellOutcome {
+	if e.Store == nil {
+		return e.runCell(ctx, spec, pol, cfg, false)
+	}
+	key, ok := e.cellDigest(spec, cfg, kindCell)
 	if !ok {
-		return cellOutcome{}, false
+		return e.runCell(ctx, spec, pol, cfg, false)
 	}
-	var ent cellEntry
-	if !e.Store.GetJSON(key, &ent) {
-		return cellOutcome{}, false
+	if out, ok := e.lookupCell(key, cfg); ok {
+		return out
 	}
-	if ent.Skin == nil || ent.Skin.Lo != skinLoC || ent.Skin.Hi != skinHiC || len(ent.Skin.Bins) != skinBins {
-		return cellOutcome{}, false
+	out := e.runCell(ctx, spec, pol, cfg, false)
+	if out.err == "" {
+		put(key, appendCellEntry(make([]byte, 0, 512), out.agg, out.metrics))
 	}
-	m := ent.Metrics
-	return cellOutcome{
-		cfg: cfg,
-		agg: &cellAgg{
-			skin:     ent.Skin,
-			skinM:    ent.SkinM,
-			coreM:    ent.CoreM,
-			overN:    ent.OverN,
-			n:        ent.N,
-			freqFrac: ent.FreqFrac,
-		},
-		metrics: &m,
-		cached:  true,
-	}, true
+	return out
 }
 
-// putCell persists one freshly computed successful outcome. It runs on
-// the async store writer's goroutine, concurrent with the collector's
-// merge — safe because both only read the aggregator, and the collector
-// never recycles aggregators on store-backed runs. Store write failures
-// are deliberately non-fatal: the run still has the result, the next run
-// just recomputes.
-func (e *Engine) putCell(spec Spec, out cellOutcome) {
-	if out.err != "" || out.agg == nil || out.metrics == nil || out.cached {
-		return
+// lookupCell serves one cell's aggregate outcome from the store. ok=false
+// on any miss — never stored, corrupt entry, stale engine, or a payload
+// the strict decoder rejects (the store counts that as invalid; the
+// recompute's Put heals it).
+func (e *Engine) lookupCell(key store.Digest, cfg CellConfig) (cellOutcome, bool) {
+	a := aggPool.Get().(*cellAgg)
+	m := new(CellMetrics)
+	if !e.Store.GetDecoded(key, func(p []byte) error { return decodeCellEntry(p, a, m) }) {
+		releaseCellAgg(a)
+		return cellOutcome{}, false
 	}
-	key, ok := e.cellDigest(spec, out.cfg, "fleet-cell")
-	if !ok {
-		return
-	}
-	_ = e.Store.PutJSON(key, cellEntry{
-		Skin:     out.agg.skin,
-		SkinM:    out.agg.skinM,
-		CoreM:    out.agg.coreM,
-		OverN:    out.agg.overN,
-		N:        out.agg.n,
-		FreqFrac: out.agg.freqFrac,
-		Metrics:  *out.metrics,
-	})
+	return cellOutcome{cfg: cfg, agg: a, metrics: m, cached: true}, true
 }
 
 // lookupTrace serves one replayed cell (full trace) from the store.
 func (e *Engine) lookupTrace(spec Spec, cfg CellConfig) (cellOutcome, bool) {
-	key, ok := e.cellDigest(spec, cfg, "fleet-trace")
+	key, ok := e.cellDigest(spec, cfg, kindTrace)
 	if !ok {
 		return cellOutcome{}, false
 	}
@@ -189,7 +262,7 @@ func (e *Engine) putTrace(spec Spec, out cellOutcome) {
 	if out.err != "" || out.agg == nil || out.agg.res == nil || out.agg.res.Rec == nil || out.cached {
 		return
 	}
-	key, ok := e.cellDigest(spec, out.cfg, "fleet-trace")
+	key, ok := e.cellDigest(spec, out.cfg, kindTrace)
 	if !ok {
 		return
 	}

@@ -171,7 +171,7 @@ func TestFleetStoreCorruptionFallback(t *testing.T) {
 	// Corrupt cell 3's entry through the engine's own addressing.
 	eng := &Engine{Workers: 1, BaseSeed: 11, Store: st}
 	eng.init()
-	key, ok := eng.cellDigest(spec.normalized(), DeriveCell(spec, 11, 3), "fleet-cell")
+	key, ok := eng.cellDigest(spec.normalized(), DeriveCell(spec, 11, 3), kindCell)
 	if !ok {
 		t.Fatal("cell 3 not addressable")
 	}

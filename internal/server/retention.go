@@ -51,22 +51,17 @@ func (s *Server) clock() time.Time {
 	return time.Now()
 }
 
-// noteTerminal records that a run reached its terminal state: stamps its
-// eviction clock, appends it to the bounded history, and sweeps. Every
-// finalize call site routes through here (or noteTerminalLocked), so the
+// terminateLocked moves a run to its terminal state under s.mu: it stamps
+// the eviction clock, publishes the done event, appends the run to the
+// bounded history, and sweeps — all before s.mu is released, so a client
+// that has seen "done" always finds the run in the history (or evicted by
+// a later sweep), stamped no later than any clock reading it could have
+// observed since. Every terminal transition routes through here, so the
 // history is exactly the terminal runs in finalize order — which makes
 // doneAt monotone along it and prefix eviction correct.
-func (s *Server) noteTerminal(r *run) {
-	s.mu.Lock()
-	s.noteTerminalLocked(r)
-	s.mu.Unlock()
-}
-
-func (s *Server) noteTerminalLocked(r *run) {
+func (s *Server) terminateLocked(r *run, state, runErr string, rep reportExports, storeDir string) {
 	now := s.clock()
-	r.mu.Lock()
-	r.doneAt = now
-	r.mu.Unlock()
+	r.finalize(state, runErr, rep, storeDir, now)
 	s.history = append(s.history, r)
 	s.evictLocked(now)
 }

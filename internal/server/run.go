@@ -44,7 +44,7 @@ type run struct {
 	mu    sync.Mutex
 	state string
 	// doneAt is the retention clock: when the run reached its terminal
-	// state (stamped by Server.noteTerminal, zero until then).
+	// state (stamped by finalize, zero until then).
 	doneAt time.Time
 	// events is the append-only log; pulse is closed and replaced on every
 	// append, waking blocked streamers.
@@ -150,12 +150,16 @@ func (r *run) report(format string) ([]byte, bool) {
 	return b, b != nil
 }
 
-// finalize appends the terminal done event and flips the state, atomically.
-// summary/reportJSON/reportCSV are nil-able: a run cancelled before it
-// started has no report, only a terminal state.
-func (r *run) finalize(state, runErr string, rep reportExports, storeDir string) {
+// finalize stamps the retention clock, appends the terminal done event and
+// flips the state, atomically: a client that has seen the done event sees
+// the stamp too. summary/reportJSON/reportCSV are nil-able: a run
+// cancelled before it started has no report, only a terminal state.
+// Callers go through Server.terminateLocked, which also records the run in
+// the history before the done event is published.
+func (r *run) finalize(state, runErr string, rep reportExports, storeDir string, now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.doneAt = now
 	r.state = state
 	r.runErr = runErr
 	r.reportJSON = rep.json
@@ -247,10 +251,9 @@ func (s *Server) execute(r *run) {
 	if s.cfg.Store != nil {
 		storeDir = s.cfg.Store.Dir()
 	}
-	r.finalize(state, runErr, rep, storeDir)
 	s.mu.Lock()
 	s.active--
-	s.noteTerminalLocked(r)
+	s.terminateLocked(r, state, runErr, rep, storeDir)
 	s.dispatchLocked()
 	s.mu.Unlock()
 }

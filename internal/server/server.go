@@ -147,6 +147,29 @@ func (s *Server) retryAfter() int {
 	return DefaultRetryAfterS
 }
 
+// Connection timeouts of the daemon's HTTP listener. ReadHeaderTimeout
+// bounds how long a client may take to send its request line and headers,
+// so a slow or hostile client cannot pin a connection before the handler
+// even runs; IdleTimeout closes keep-alive connections left unused. There
+// is deliberately no read or write timeout: a submit body is already
+// capped by MaxSpecBytes, and a progress stream legitimately stays open
+// for as long as its run executes.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// HTTPServer returns an http.Server that serves s.Handler() with the
+// daemon's connection timeouts — the one way cmd/reprod and the soak
+// harness build their listener.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
+}
+
 // Handler returns the API surface: the v1 routes wrapped in the
 // engine-version handshake. Every response carries the engine version in
 // the X-Repro-Engine header; every request that declares one must match or

@@ -719,3 +719,23 @@ func TestCampaignRun(t *testing.T) {
 		t.Errorf("daemon summary %q, in-process %q", done.Summary, rep.Summary())
 	}
 }
+
+// TestHTTPServerTimeouts: the daemon's listener bounds header reads and
+// idle keep-alives, and serves the control API.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := New(Config{}).HTTPServer()
+	if hs.ReadHeaderTimeout != ReadHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != IdleTimeout || hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", hs.IdleTimeout, IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Errorf("read/write timeouts %v/%v would cut long progress streams", hs.ReadTimeout, hs.WriteTimeout)
+	}
+	rec := httptest.NewRecorder()
+	hs.Handler.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/healthz", nil))
+	if rec.Code != 200 {
+		t.Errorf("healthz through HTTPServer handler: %d", rec.Code)
+	}
+}

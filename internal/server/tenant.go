@@ -89,11 +89,7 @@ func (s *Server) cancelRun(r *run) {
 	s.mu.Lock()
 	if r.stateNow() == controlapi.StateQueued {
 		s.unqueueLocked(r)
-		s.mu.Unlock()
-		r.cancel()
-		r.finalize(controlapi.StateCancelled, "run cancelled before start", reportExports{}, "")
-		s.noteTerminal(r)
-		return
+		s.terminateLocked(r, controlapi.StateCancelled, "run cancelled before start", reportExports{}, "")
 	}
 	s.mu.Unlock()
 	r.cancel()
@@ -124,9 +120,11 @@ func (s *Server) unqueueLocked(r *run) {
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
-	var queued []*run
 	for _, q := range s.tenants {
-		queued = append(queued, q.queue...)
+		for _, r := range q.queue {
+			s.terminateLocked(r, controlapi.StateCancelled, "run cancelled: server draining", reportExports{}, "")
+			r.cancel()
+		}
 		q.queue = nil
 	}
 	var running []*run
@@ -136,11 +134,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	s.mu.Unlock()
-	for _, r := range queued {
-		r.cancel()
-		r.finalize(controlapi.StateCancelled, "run cancelled: server draining", reportExports{}, "")
-		s.noteTerminal(r)
-	}
 	for _, r := range running {
 		r.cancel()
 	}

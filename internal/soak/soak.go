@@ -357,7 +357,7 @@ func newHarness(cfg Config) (*harness, func(), error) {
 		os.RemoveAll(storeDir)
 		return nil, nil, err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer()
 	go httpSrv.Serve(ln)
 
 	h := &harness{

@@ -60,7 +60,7 @@ func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
 // KeyBytes renders the canonical byte representation of a cell spec: a
 // deterministic JSON envelope carrying the entry format, the engine
-// version, the caller's kind tag (e.g. "fleet-cell", "campaign-cell",
+// version, the caller's kind tag (e.g. "fleet-cell.bin", "campaign-cell",
 // "fleet-trace" — two kinds never collide), and the normalized spec
 // itself. Callers pass a fully normalized struct (no maps, every default
 // materialized): encoding/json marshals struct fields in declaration order
@@ -258,21 +258,27 @@ func (s *Store) Put(key Digest, payload []byte) error {
 	return nil
 }
 
-// GetJSON is Get plus a strict JSON decode of the payload into out. A
-// payload that fails to decode (schema skew inside one engine version —
-// should not happen, but must not crash) counts as invalid and misses.
-func (s *Store) GetJSON(key Digest, out any) bool {
+// GetDecoded is Get plus a decode of the payload by the caller's codec. A
+// payload the decoder rejects (schema skew inside one engine version, or
+// foreign bytes that still verify — should not happen, but must not crash)
+// counts as invalid and misses, like a corrupt entry.
+func (s *Store) GetDecoded(key Digest, decode func([]byte) error) bool {
 	payload, ok := s.Get(key)
 	if !ok {
 		return false
 	}
-	if err := json.Unmarshal(payload, out); err != nil {
+	if err := decode(payload); err != nil {
 		s.invalid.Add(1)
 		s.hits.Add(^uint64(0)) // undo the hit: this entry is unusable
 		s.misses.Add(1)
 		return false
 	}
 	return true
+}
+
+// GetJSON is GetDecoded with a strict JSON decode of the payload into out.
+func (s *Store) GetJSON(key Digest, out any) bool {
+	return s.GetDecoded(key, func(p []byte) error { return json.Unmarshal(p, out) })
 }
 
 // PutJSON marshals v and Puts it under key.
