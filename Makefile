@@ -38,8 +38,10 @@ MAX_BATCH_BYTES ?= 400000
 # through the per-device kernel (pooled arenas, fused power, scripted
 # demand via TickWith); BenchmarkFleetWarmRun covers a 256-device fleet
 # served entirely from the result store (key digest, entry read and
-# verify, binary decode into pooled aggregators).
-HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarmRun$$
+# verify, binary decode into pooled aggregators); BenchmarkPredictorHorizon
+# and BenchmarkThermalStep are the per-interval DTPM predictor and thermal
+# RK4 layers, at 0 allocs/op.
+HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarmRun$$|BenchmarkPredictorHorizon$$|BenchmarkThermalStep$$
 
 all: build
 
@@ -115,6 +117,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioSpec$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetSpec$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzCellEntry$$' -fuzztime $(FUZZTIME) ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzPredictConst$$' -fuzztime $(FUZZTIME) ./internal/sysid
 
 # Coverage profile + total, the same numbers the CI coverage gate checks.
 cover:

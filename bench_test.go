@@ -20,8 +20,12 @@ import (
 	"repro/internal/dtpm"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/mat"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/sysid"
+	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -306,6 +310,66 @@ func BenchmarkHostCalibration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sum := sha256.Sum256(buf)
 		buf[0] = sum[0]
+	}
+}
+
+// BenchmarkPredictorHorizon is the DTPM predictor layer: one 10-interval
+// constant-power prediction (the controller's horizon, run twice per
+// control interval in every cell) per op, for the 4-state models of the
+// Exynos 5410 and fanless-phone platforms and the 8-state tablet-8big
+// order. The model is a fixed stable synthetic one of that order, so the
+// number does not depend on characterization. Gated at 0 allocs/op.
+func BenchmarkPredictorHorizon(b *testing.B) {
+	for _, ns := range []int{4, 8} {
+		b.Run(fmt.Sprintf("states=%d", ns), func(b *testing.B) {
+			a, bm := mat.New(ns, ns), mat.New(ns, sysid.NumInputs)
+			temps := make([]float64, ns)
+			for i := 0; i < ns; i++ {
+				for j := 0; j < ns; j++ {
+					a.Set(i, j, 0.02/float64(1+(i+j)%3))
+				}
+				a.Set(i, i, 0.88+0.01*float64(i%3))
+				for j := 0; j < sysid.NumInputs; j++ {
+					bm.Set(i, j, 0.6/float64(1+i+j))
+				}
+				temps[i] = 50 + float64(i)
+			}
+			m := &sysid.ThermalModel{A: a, B: bm, Ts: 0.1, Ambient: 30}
+			pr := m.NewPredictor()
+			powers := []float64{3.1, 0.4, 0.9, 0.6}
+			out := make([]float64, ns)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pr.PredictConstInto(out, temps, powers, 10)
+			}
+		})
+	}
+}
+
+// BenchmarkThermalStep is the ground-truth thermal layer: one 100 ms
+// control interval of the RC network (RK4 with its internal sub-steps)
+// per op, on the 4-core Exynos 5410 and the 8-core tablet-8big networks
+// with the fan running. Gated at 0 allocs/op.
+func BenchmarkThermalStep(b *testing.B) {
+	for _, name := range []string{platform.DefaultName, "tablet-8big"} {
+		d, err := platform.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := d.Thermal.Cores()
+		b.Run(fmt.Sprintf("states=%d", n), func(b *testing.B) {
+			sim := thermal.NewSim(d.Thermal)
+			in := thermal.Input{CorePower: make([]float64, n), BoardPower: 1.3, FanSpeed: 0.5}
+			for i := range in.CorePower {
+				in.CorePower[i] = 0.6 + 0.05*float64(i%4)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.Step(0.1, in)
+			}
+		})
 	}
 }
 

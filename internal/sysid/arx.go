@@ -164,27 +164,26 @@ func (m *ThermalModel) PredictConstInto(dst, tempC, powers []float64, n int) []f
 // shared read-only across every concurrent simulation cell; each cell owns
 // its Predictor (a Predictor is NOT safe for concurrent use).
 type Predictor struct {
-	m               *ThermalModel
-	cur, dt, av, bp []float64
+	m      *ThermalModel
+	dt, bp []float64
 }
 
 // NewPredictor returns a predictor with scratch sized to the model order.
 func (m *ThermalModel) NewPredictor() *Predictor {
 	ns := m.States()
-	flat := make([]float64, 4*ns)
+	flat := make([]float64, 2*ns)
 	return &Predictor{
-		m:   m,
-		cur: flat[0:ns:ns],
-		dt:  flat[ns : 2*ns : 2*ns],
-		av:  flat[2*ns : 3*ns : 3*ns],
-		bp:  flat[3*ns : 4*ns : 4*ns],
+		m:  m,
+		dt: flat[0:ns:ns],
+		bp: flat[ns : 2*ns : 2*ns],
 	}
 }
 
 // PredictConstInto is the allocation-free n-step constant-power prediction:
-// it writes into dst (length States()) and returns dst. The arithmetic
-// replays Step's exact operation order — relative-to-ambient conversion
-// every step, A·dT then B·P accumulated in MulVec order — so the result is
+// it writes into dst (length States()) and returns dst. dst may alias
+// tempC. The arithmetic replays Step's exact operation order —
+// relative-to-ambient conversion every step, each row of A·dT summed in
+// MulVec's column order, then + B·P, then + Ambient — so the result is
 // bit-identical to PredictConst. This is the DTPM control loop's hot path:
 // it runs twice per 100 ms interval in every simulation cell, so it must
 // not allocate.
@@ -194,22 +193,81 @@ func (p *Predictor) PredictConstInto(dst, tempC, powers []float64, n int) []floa
 	if len(dst) != ns || len(tempC) < ns {
 		panic("sysid: PredictConstInto dst/tempC length")
 	}
-	cur, dt, av, bp := p.cur, p.dt, p.av, p.bp
-	copy(cur, tempC[:ns])
 	// B·P is constant over the horizon; compute it once in MulVec order.
-	m.B.MulVecInto(bp, powers)
+	bp := m.B.MulVecInto(p.bp, powers)
+	// Order 4 has its own body: with predictRows serving it too, the
+	// fleet-compute benchmark (¾ of its cells are 4-state) ran ~16%
+	// slower (measurements in docs/benchmarks.md).
+	if ns == 4 {
+		predict4(dst, tempC, bp, m.A.Data, m.Ambient, n)
+		return dst
+	}
+	copy(dst, tempC[:ns])
+	predictRows(dst, p.dt, bp, m.A.Data, m.Ambient, n)
+	return dst
+}
+
+// predict4 is the n-step prediction of a 4-state model (the Exynos 5410
+// and fanless-phone platforms) with the state and A held in registers.
+// Each row omits MulVec's leading 0.0 +: that can only flip the sign of a
+// zero partial sum, and adding bp — MulVec output, so never -0 — erases
+// the sign, leaving the result bit-identical.
+func predict4(dst, tempC, bp, a []float64, amb float64, n int) {
+	a, bp, tempC = a[:16], bp[:4], tempC[:4]
+	a00, a01, a02, a03 := a[0], a[1], a[2], a[3]
+	a10, a11, a12, a13 := a[4], a[5], a[6], a[7]
+	a20, a21, a22, a23 := a[8], a[9], a[10], a[11]
+	a30, a31, a32, a33 := a[12], a[13], a[14], a[15]
+	b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+	c0, c1, c2, c3 := tempC[0], tempC[1], tempC[2], tempC[3]
 	for k := 0; k < n; k++ {
-		for i := range dt {
-			dt[i] = cur[i] - m.Ambient
+		d0, d1, d2, d3 := c0-amb, c1-amb, c2-amb, c3-amb
+		c0 = a00*d0 + a01*d1 + a02*d2 + a03*d3 + b0 + amb
+		c1 = a10*d0 + a11*d1 + a12*d2 + a13*d3 + b1 + amb
+		c2 = a20*d0 + a21*d1 + a22*d2 + a23*d3 + b2 + amb
+		c3 = a30*d0 + a31*d1 + a32*d2 + a33*d3 + b3 + amb
+	}
+	dst = dst[:4]
+	dst[0], dst[1], dst[2], dst[3] = c0, c1, c2, c3
+}
+
+// predictRows is the n-step prediction of any model order, advancing cur
+// in place. Rows of A go in blocks of four independent accumulators (the
+// j order within each row is MulVec's), then a scalar tail.
+func predictRows(cur, dt, bp, a []float64, amb float64, n int) {
+	ns := len(cur)
+	dt, bp = dt[:ns], bp[:ns]
+	for k := 0; k < n; k++ {
+		for j, c := range cur {
+			dt[j] = c - amb
 		}
-		m.A.MulVecInto(av, dt)
-		// Matches Step: next = (A·dT + B·P), then += Ambient.
-		for i := range cur {
-			cur[i] = av[i] + bp[i] + m.Ambient
+		i := 0
+		for ; i+4 <= ns; i += 4 {
+			r0 := a[i*ns:][:ns]
+			r1 := a[(i+1)*ns:][:ns]
+			r2 := a[(i+2)*ns:][:ns]
+			r3 := a[(i+3)*ns:][:ns]
+			var s0, s1, s2, s3 float64
+			for j, d := range dt {
+				s0 += r0[j] * d
+				s1 += r1[j] * d
+				s2 += r2[j] * d
+				s3 += r3[j] * d
+			}
+			cur[i] = s0 + bp[i] + amb
+			cur[i+1] = s1 + bp[i+1] + amb
+			cur[i+2] = s2 + bp[i+2] + amb
+			cur[i+3] = s3 + bp[i+3] + amb
+		}
+		for ; i < ns; i++ {
+			row := a[i*ns:][:ns]
+			s := 0.0
+			for j, d := range dt {
+				s += row[j] * d
+			}
+			cur[i] = s + bp[i] + amb
 		}
 	}
-	copy(dst, cur)
-	return dst
 }
 
 // HorizonGains returns the n-step form of Equation 4.5 under constant power,

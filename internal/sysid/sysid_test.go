@@ -1,7 +1,9 @@
 package sysid
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/mat"
@@ -270,29 +272,111 @@ func TestThermalModelStepAndPredict(t *testing.T) {
 // TestPredictConstIntoBitIdentical pins the hot-path contract: the
 // allocation-free prediction must produce exactly the floats of the
 // allocating form, at every horizon (the campaign determinism guarantee
-// leans on this).
+// leans on this). Orders 4 and 8 are the fleet's platforms; 5 exercises
+// the scalar tail after one block of four rows.
 func TestPredictConstIntoBitIdentical(t *testing.T) {
-	m := synthModel()
-	temps := []float64{52.3, 49.1, 55.7, 47.2}
-	powers := []float64{3.1, 0.4, 0.9, 0.6}
-	for _, n := range []int{1, 2, 10, 50} {
-		want := m.PredictConst(temps, powers, n)
-		var got [NumStates]float64
-		m.PredictConstInto(got[:], temps, powers, n)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("n=%d state %d: PredictConstInto %v != PredictConst %v", n, i, got[i], want[i])
+	models := map[string]*ThermalModel{"synth4": synthModel()}
+	for _, ns := range []int{4, 5, 8} {
+		models[fmt.Sprintf("rand%d", ns)] = randomModel(rand.New(rand.NewSource(int64(ns))), ns)
+	}
+	// At ambient with signed-zero entries in A every product is ±0: the
+	// case where dropping MulVec's leading 0.0 + could show.
+	zero := randomModel(rand.New(rand.NewSource(9)), 4)
+	for i := range zero.A.Data {
+		zero.A.Data[i] = math.Copysign(0, float64(i%2)-0.5)
+	}
+	models["zeros4"] = zero
+	for name, m := range models {
+		ns := m.States()
+		rng := rand.New(rand.NewSource(int64(ns)))
+		temps := make([]float64, ns)
+		for i := range temps {
+			temps[i] = 40 + 20*rng.Float64()
+		}
+		if name == "zeros4" {
+			for i := range temps {
+				temps[i] = m.Ambient
 			}
 		}
+		powers := []float64{3.1, 0.4, 0.9, 0.6}
+		pr := m.NewPredictor()
+		for _, n := range []int{0, 1, 2, 10, 50} {
+			want := m.PredictConst(temps, powers, n)
+			got := pr.PredictConstInto(make([]float64, ns), temps, powers, n)
+			// dst may alias tempC.
+			aliased := append([]float64(nil), temps...)
+			pr.PredictConstInto(aliased, aliased, powers, n)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Errorf("%s n=%d state %d: PredictConstInto %v != PredictConst %v", name, n, i, got[i], want[i])
+				}
+				if math.Float64bits(aliased[i]) != math.Float64bits(want[i]) {
+					t.Errorf("%s n=%d state %d: aliased PredictConstInto %v != PredictConst %v", name, n, i, aliased[i], want[i])
+				}
+			}
+		}
+		// The Predictor form is the hot-path contract: zero allocations.
+		out := make([]float64, ns)
+		if allocs := testing.AllocsPerRun(100, func() {
+			pr.PredictConstInto(out, temps, powers, 10)
+		}); allocs != 0 {
+			t.Errorf("%s: Predictor.PredictConstInto allocates %.0f times per call, want 0", name, allocs)
+		}
 	}
-	// The Predictor form is the hot-path contract: zero allocations.
-	pr := m.NewPredictor()
-	out := make([]float64, NumStates)
-	if allocs := testing.AllocsPerRun(100, func() {
-		pr.PredictConstInto(out, temps, powers, 10)
-	}); allocs != 0 {
-		t.Errorf("Predictor.PredictConstInto allocates %.0f times per call, want 0", allocs)
+}
+
+// randomModel draws an order-ns model whose A has row sums below one in
+// magnitude (so long horizons stay finite) and whose entries are exactly
+// zero a quarter of the time.
+func randomModel(rng *rand.Rand, ns int) *ThermalModel {
+	draw := func(scale float64) float64 {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return scale * (2*rng.Float64() - 1)
 	}
+	a, b := mat.New(ns, ns), mat.New(ns, NumInputs)
+	for i := range a.Data {
+		a.Data[i] = draw(0.99 / float64(ns))
+	}
+	for i := range b.Data {
+		b.Data[i] = draw(1)
+	}
+	return &ThermalModel{A: a, B: b, Ts: 0.1, Ambient: 45 * rng.Float64()}
+}
+
+// FuzzPredictConst checks the register-resident predictor against the
+// allocating Step loop bit for bit, for random orders 1-9, random
+// models, temperatures and powers, and horizons 0-60.
+func FuzzPredictConst(f *testing.F) {
+	for _, seed := range []int64{1, 4, 5, 8} {
+		f.Add(seed, uint8(seed), uint8(10))
+	}
+	f.Add(int64(7), uint8(0), uint8(0))
+	f.Add(int64(9), uint8(8), uint8(60))
+	f.Fuzz(func(t *testing.T, seed int64, order, horizon uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		ns, n := 1+int(order)%9, int(horizon)%61
+		m := randomModel(rng, ns)
+		temps := make([]float64, ns)
+		for i := range temps {
+			temps[i] = m.Ambient + 60*rng.Float64()
+			if rng.Intn(4) == 0 {
+				temps[i] = m.Ambient
+			}
+		}
+		powers := make([]float64, NumInputs)
+		for i := range powers {
+			powers[i] = 5 * rng.Float64()
+		}
+		want := m.PredictConst(temps, powers, n)
+		got := m.NewPredictor().PredictConstInto(make([]float64, ns), temps, powers, n)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("order %d n=%d state %d: PredictConstInto %v != PredictConst %v", ns, n, i, got[i], want[i])
+			}
+		}
+	})
 }
 
 func TestPredictTrajectoryHolding(t *testing.T) {

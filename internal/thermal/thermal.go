@@ -186,31 +186,42 @@ type Input struct {
 // construction, so Step performs no heap allocation (the simulation hot
 // loop depends on this).
 type Sim struct {
+	// P is the network the Sim integrates. Only P.Ambient may change after
+	// NewSim (scenario conditions move it between intervals); the
+	// conductances are cached at construction, so edits to any other field
+	// are not seen.
 	P   Params
 	nbr [][]int
+	gcb []float64 // per-core GCoreBoard·coreAsym
 	s   State
 
-	// RK4 scratch: stage state and the four derivative estimates.
-	stage              State
+	// RK4 scratch: stage core temperatures and the four derivative
+	// estimates.
+	stage              []float64
 	k1c, k2c, k3c, k4c []float64
 }
 
 // NewSim returns a simulator with every node at ambient.
 func NewSim(p Params) *Sim {
 	n := p.Cores()
-	// One flat backing array serves the state, the stage, and the four RK4
-	// derivative buffers: a Sim costs two allocations, not eight (the
-	// campaign engine builds one per simulation cell).
-	flat := make([]float64, 6*n)
+	// One flat backing array serves the state, the stage, the four RK4
+	// derivative buffers and the core-board conductances: a Sim costs two
+	// allocations, not nine (the campaign engine builds one per
+	// simulation cell).
+	flat := make([]float64, 7*n)
 	sim := &Sim{
 		P:     p,
 		nbr:   p.neighbors(),
 		s:     State{Core: flat[0:n:n], Board: p.Ambient},
-		stage: State{Core: flat[n : 2*n : 2*n], Board: p.Ambient},
+		stage: flat[n : 2*n : 2*n],
 		k1c:   flat[2*n : 3*n : 3*n],
 		k2c:   flat[3*n : 4*n : 4*n],
 		k3c:   flat[4*n : 5*n : 5*n],
 		k4c:   flat[5*n : 6*n : 6*n],
+		gcb:   flat[6*n : 7*n : 7*n],
+	}
+	for i := range sim.gcb {
+		sim.gcb[i] = p.GCoreBoard * coreAsym(&p, i)
 	}
 	sim.Reset()
 	return sim
@@ -246,39 +257,44 @@ func (s *Sim) StateInto(dst *State) *State {
 	return dst
 }
 
-// derivative evaluates dT/dt for the given state and input, writing the
-// core derivatives into dCore.
-func (s *Sim) derivative(st State, in Input, dCore []float64) (dBoard float64) {
-	p := &s.P // by pointer: this runs four times per RK4 sub-step
+// fanConductances returns the fan-dependent conductances of one input:
+// board-to-ambient and the extra per-core convective term.
+func (s *Sim) fanConductances(fanSpeed float64) (gAmb, gFanCore float64) {
 	// Convective conductance grows strongly superlinearly with fan duty
 	// (airflow rises with RPM and the boundary layer thins with airflow);
 	// a quartic law makes the stock controller's idle duty nearly neutral
 	// and its upper steps aggressive. The resulting over-cool/re-heat
 	// limit cycle is the wide with-fan oscillation of Figures 6.3-6.4.
-	fan := clamp01(in.FanSpeed)
+	fan := clamp01(fanSpeed)
 	fanEff := fan * fan * fan * fan
-	gAmb := p.GBoardAmb + p.GFanMax*fanEff
-	gFanCore := p.GFanCoreMax * fanEff
+	return s.P.GBoardAmb + s.P.GFanMax*fanEff, s.P.GFanCoreMax * fanEff
+}
+
+// derivative evaluates dT/dt at core temperatures core and board
+// temperature board, writing the core derivatives into dCore. gAmb and
+// gFanCore come from fanConductances for the same input.
+func (s *Sim) derivative(core []float64, board float64, in *Input, gAmb, gFanCore float64, dCore []float64) (dBoard float64) {
+	amb, gcc, cc := s.P.Ambient, s.P.GCoreCore, s.P.CCore
+	core, gcb := core[:len(dCore)], s.gcb[:len(dCore)]
 	var toBoard float64
-	for i := range dCore {
-		gcb := p.GCoreBoard * coreAsym(p, i)
+	for i, ci := range core {
 		// Entries beyond len(CorePower) are zero (Input{} means no power,
 		// matching the old fixed-array semantics).
 		q := 0.0
 		if i < len(in.CorePower) {
 			q = in.CorePower[i]
 		}
-		q -= gcb * (st.Core[i] - st.Board)
-		q -= gFanCore * (st.Core[i] - p.Ambient)
+		qcb := gcb[i] * (ci - board)
+		q -= qcb
+		q -= gFanCore * (ci - amb)
 		for _, j := range s.nbr[i] {
-			q -= p.GCoreCore * (st.Core[i] - st.Core[j])
+			q -= gcc * (ci - core[j])
 		}
-		dCore[i] = q / p.CCore
-		toBoard += gcb * (st.Core[i] - st.Board)
+		dCore[i] = q / cc
+		toBoard += qcb
 	}
-	qb := in.BoardPower + toBoard - gAmb*(st.Board-p.Ambient)
-	dBoard = qb / p.CBoard
-	return dBoard
+	qb := in.BoardPower + toBoard - gAmb*(board-amb)
+	return qb / s.P.CBoard
 }
 
 // Step advances the network by dt seconds with the given input, using RK4
@@ -296,7 +312,7 @@ func (s *Sim) Step(dt float64, in Input) State {
 	}
 	h := dt / float64(sub)
 	for n := 0; n < sub; n++ {
-		s.rk4(h, in)
+		s.rk4(h, &in)
 	}
 	return s.s
 }
@@ -305,24 +321,30 @@ func (s *Sim) Step(dt float64, in Input) State {
 // classical tableau exactly as the fixed-size implementation did
 // (stage = state + w*k element-wise, then the 1/6 weighted sum), so the
 // trajectory is bit-identical for the same parameters.
-func (s *Sim) rk4(h float64, in Input) {
-	stage := func(kc []float64, kb, w float64) {
-		for i := range s.stage.Core {
-			s.stage.Core[i] = s.s.Core[i] + w*kc[i]
-		}
-		s.stage.Board = s.s.Board + w*kb
+func (s *Sim) rk4(h float64, in *Input) {
+	gAmb, gFanCore := s.fanConductances(in.FanSpeed)
+	x := s.s.Core
+	n := len(x)
+	st, k1, k2, k3, k4 := s.stage[:n], s.k1c[:n], s.k2c[:n], s.k3c[:n], s.k4c[:n]
+	xb := s.s.Board
+	h2, h6 := h/2, h/6
+	k1b := s.derivative(x, xb, in, gAmb, gFanCore, k1)
+	for i, xi := range x {
+		st[i] = xi + h2*k1[i]
 	}
-	k1b := s.derivative(s.s, in, s.k1c)
-	stage(s.k1c, k1b, h/2)
-	k2b := s.derivative(s.stage, in, s.k2c)
-	stage(s.k2c, k2b, h/2)
-	k3b := s.derivative(s.stage, in, s.k3c)
-	stage(s.k3c, k3b, h)
-	k4b := s.derivative(s.stage, in, s.k4c)
-	for i := range s.s.Core {
-		s.s.Core[i] += h / 6 * (s.k1c[i] + 2*s.k2c[i] + 2*s.k3c[i] + s.k4c[i])
+	k2b := s.derivative(st, xb+h2*k1b, in, gAmb, gFanCore, k2)
+	for i, xi := range x {
+		st[i] = xi + h2*k2[i]
 	}
-	s.s.Board += h / 6 * (k1b + 2*k2b + 2*k3b + k4b)
+	k3b := s.derivative(st, xb+h2*k2b, in, gAmb, gFanCore, k3)
+	for i, xi := range x {
+		st[i] = xi + h*k3[i]
+	}
+	k4b := s.derivative(st, xb+h*k3b, in, gAmb, gFanCore, k4)
+	for i := range x {
+		x[i] += h6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
+	}
+	s.s.Board = xb + h6*(k1b+2*k2b+2*k3b+k4b)
 }
 
 // SteadyState returns the equilibrium temperatures for a constant input,
@@ -331,9 +353,10 @@ func (s *Sim) SteadyState(in Input) State {
 	saved := s.s.Clone()
 	defer func() { s.SetState(saved) }()
 	dc := make([]float64, len(s.s.Core))
+	gAmb, gFanCore := s.fanConductances(in.FanSpeed)
 	for iter := 0; iter < 200000; iter++ {
 		s.Step(1.0, in)
-		db := s.derivative(s.s, in, dc)
+		db := s.derivative(s.s.Core, s.s.Board, &in, gAmb, gFanCore, dc)
 		m := math.Abs(db)
 		for _, d := range dc {
 			if math.Abs(d) > m {
