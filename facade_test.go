@@ -81,9 +81,9 @@ func TestRunCampaignFacade(t *testing.T) {
 
 func TestRunWithCustomTMax(t *testing.T) {
 	dev := NewDevice()
-	res, err := dev.Run(RunSpec{
-		Benchmark: "matrixmult", Policy: DTPM, Models: models(t), TMax: 58, Seed: 2,
-	})
+	res, err := dev.runToCompletion(context.Background(), NewSpec(
+		WithBenchmark("matrixmult"), WithPolicy(DTPM), WithModels(models(t)), WithTMax(58), WithSeed(2),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,13 @@ func TestRunWithCustomTMax(t *testing.T) {
 
 func TestRunWithGovernorOverride(t *testing.T) {
 	dev := NewDevice()
-	perf, err := dev.Run(RunSpec{Benchmark: "dijkstra", Policy: WithoutFan, Governor: "performance", Seed: 2})
+	perf, err := dev.runToCompletion(context.Background(), NewSpec(
+		WithBenchmark("dijkstra"), WithPolicy(WithoutFan), WithGovernor("performance"), WithSeed(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	save, err := dev.Run(RunSpec{Benchmark: "dijkstra", Policy: WithoutFan, Governor: "powersave", Seed: 2})
+	save, err := dev.runToCompletion(context.Background(), NewSpec(
+		WithBenchmark("dijkstra"), WithPolicy(WithoutFan), WithGovernor("powersave"), WithSeed(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +119,13 @@ func TestRunWithGovernorOverride(t *testing.T) {
 
 func TestRecordedTrace(t *testing.T) {
 	dev := NewDevice()
-	res, err := dev.Run(RunSpec{Benchmark: "crc32", Policy: WithFan, Record: true, Seed: 2})
+	res, err := dev.runToCompletion(context.Background(), NewSpec(
+		WithBenchmark("crc32"), WithPolicy(WithFan), WithRecord(true), WithSeed(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rec == nil {
-		t.Fatal("Record: true did not retain traces")
+		t.Fatal("WithRecord(true) did not retain traces")
 	}
 	if s := res.Rec.Series("maxtemp"); s == nil || s.Len() == 0 {
 		t.Error("maxtemp series missing")

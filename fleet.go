@@ -61,15 +61,6 @@ type fleetConfig struct {
 	useStore bool
 }
 
-// WithBatchSize used to cap the lock-step batch width of the fleet kernel.
-// Every device now runs the same per-device kernel, so the option does
-// nothing.
-//
-// Deprecated: fleets no longer batch devices; drop the option.
-func WithBatchSize(n int) FleetOption {
-	return func(*fleetConfig) {}
-}
-
 // WithStore attaches a content-addressed result store rooted at dir ("" =
 // the conventional .repro-store): every device's outcome is persisted under
 // a digest of its fully normalized configuration, and any later run of an

@@ -145,8 +145,7 @@ func TestParseFleetSpecFacade(t *testing.T) {
 }
 
 // TestFleetOptionsFacade: WithStore tunes execution without changing report
-// bytes (and the deprecated WithBatchSize is accepted as a no-op), and a
-// warm re-run is served from the store.
+// bytes, and a warm re-run is served from the store.
 func TestFleetOptionsFacade(t *testing.T) {
 	dev := NewDevice()
 	spec := facadeFleetSpec()
@@ -155,8 +154,7 @@ func TestFleetOptionsFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	tuned, err := dev.RunFleet(context.Background(), spec, nil, 2, 9,
-		WithBatchSize(2), WithStore(dir))
+	tuned, err := dev.RunFleet(context.Background(), spec, nil, 2, 9, WithStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

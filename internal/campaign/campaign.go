@@ -341,31 +341,19 @@ type Engine struct {
 	storeTag     string
 	storeTagOnce sync.Once
 
-	// devices is the shared per-platform cache for the Platforms sweep
-	// axis: each non-default platform gets one runner and one
-	// characterization (seeded with BaseSeed), built on first use and
-	// shared by all of its cells. The fleet engine resolves its platforms
-	// through the same cache via DeviceFor.
+	// devices is the per-platform cache for the Platforms sweep axis: each
+	// non-default platform gets one runner and one characterization (seeded
+	// with BaseSeed), built on first use and shared by all of its cells.
 	devices sched.Cache
 }
 
-// runnerPlatform names the platform a runner simulates.
-func runnerPlatform(r *sim.Runner) string {
-	if r != nil && r.Desc != nil {
-		return r.Desc.Name
-	}
-	return platform.DefaultName
-}
-
-// DeviceFor resolves the runner and models for a platform coordinate. The
+// deviceFor resolves the runner and models for a platform coordinate. The
 // empty coordinate means the engine's own device (whatever platform it was
 // built around); a named coordinate is served by the engine's Runner/Models
 // when they describe that platform and otherwise by the per-campaign cache,
-// characterized on first use (at the engine's BaseSeed). The fleet engine
-// shares this cache so a platform appearing in thousands of fleet cells is
-// characterized exactly once.
-func (e *Engine) DeviceFor(ctx context.Context, name string) (*sim.Runner, *sim.Characterization, error) {
-	if name == "" || name == runnerPlatform(e.Runner) {
+// characterized on first use (at the engine's BaseSeed).
+func (e *Engine) deviceFor(ctx context.Context, name string) (*sim.Runner, *sim.Characterization, error) {
+	if name == "" || name == e.Runner.Descriptor().Name {
 		return e.Runner, e.Models, nil
 	}
 	return e.devices.Device(ctx, name, e.BaseSeed)
@@ -439,34 +427,6 @@ func (e *Engine) Stream(ctx context.Context, grid Grid) (iter.Seq[CellResult], e
 	}), nil
 }
 
-// RunAll is the lower-level primitive the experiments package drives: it
-// executes arbitrary pre-built sim.Options concurrently on the pool and
-// returns results in input order. Unlike Run it performs no seed derivation
-// and keeps full results (including traces when opts[i].Record is set) —
-// the caller owns the memory consequences.
-func (e *Engine) RunAll(ctx context.Context, opts []sim.Options) ([]*sim.Result, []error) {
-	if e.Runner == nil {
-		e.Runner = sim.NewRunner()
-	}
-	results := make([]*sim.Result, len(opts))
-	errs := make([]error, len(opts))
-	e.ForEach(len(opts), func(i int) {
-		results[i], errs[i] = RunSafely(ctx, e.Runner, opts[i])
-	})
-	return results, errs
-}
-
-// ForEach runs fn(0..n-1) on the worker pool and blocks until all are done.
-// It is the raw pool primitive under RunAll (and the fleet engine): work is
-// handed out in index order from a shared counter, fn runs concurrently on
-// up to Workers goroutines, and fn itself owns any synchronization of
-// shared state it touches.
-func (e *Engine) ForEach(n int, fn func(i int)) {
-	sched.Pool{Workers: e.Workers}.ForEach(n, fn)
-}
-
-// runCell executes one cell, translating every failure mode into a
-// collected CellResult.
 // campaignCellKey is the canonical content of one campaign cell: the
 // normalized coordinates, the derived simulation seed, the full scenario
 // spec when the cell runs one (so editing a library scenario invalidates
@@ -489,7 +449,7 @@ type campaignCellKey struct {
 // platform's tag distinguishes injected models (content-addressed) from
 // running model-free.
 func (e *Engine) storeModelsTag(platformName string) string {
-	if platformName != runnerPlatform(e.Runner) {
+	if platformName != e.Runner.Descriptor().Name {
 		return fmt.Sprintf("charseed:%d", e.BaseSeed)
 	}
 	e.storeTagOnce.Do(func() {
@@ -512,8 +472,8 @@ func (e *Engine) storeModelsTag(platformName string) string {
 // addressed (unknown platform or scenario, contradictory workload axes) —
 // those cells just run the compute path, which produces the proper error.
 func (e *Engine) cellStoreKey(c Cell) (store.Digest, Cell, bool) {
-	if c.Platform == "" || c.Platform == runnerPlatform(e.Runner) {
-		c.Platform = runnerPlatform(e.Runner)
+	if anchor := e.Runner.Descriptor().Name; c.Platform == "" || c.Platform == anchor {
+		c.Platform = anchor
 	} else if _, err := platform.ByName(c.Platform); err != nil {
 		return store.Digest{}, c, false
 	}
@@ -545,6 +505,8 @@ func (e *Engine) cellStoreKey(c Cell) (store.Digest, Cell, bool) {
 	return d, c, true
 }
 
+// runCell executes one cell, translating every failure mode into a
+// collected CellResult.
 func (e *Engine) runCell(ctx context.Context, c Cell) CellResult {
 	// Lookup-or-compute: a stored cell is served without touching the
 	// device cache, so a fully warm campaign re-run never characterizes.
@@ -558,14 +520,14 @@ func (e *Engine) runCell(ctx context.Context, c Cell) CellResult {
 			}
 		}
 	}
-	runner, models, err := e.DeviceFor(ctx, c.Platform)
+	runner, models, err := e.deviceFor(ctx, c.Platform)
 	if err != nil {
 		return CellResult{Cell: c, Err: err.Error()}
 	}
 	// Export the platform the cell actually ran on (an empty coordinate
 	// resolves to the engine's device, which need not be the registry
 	// default).
-	c.Platform = runnerPlatform(runner)
+	c.Platform = runner.Descriptor().Name
 	opt := sim.Options{
 		Policy:   c.Policy,
 		Governor: c.Governor,
@@ -602,7 +564,7 @@ func (e *Engine) runCell(ctx context.Context, c Cell) CellResult {
 		opt.Model = models.Thermal
 		opt.PowerModel = models.Power
 	}
-	res, err := RunSafely(ctx, runner, opt)
+	res, err := sched.RunSafely(ctx, runner, opt)
 	done := CellResult{Cell: c}
 	if err != nil {
 		done.Err = err.Error()
@@ -629,12 +591,4 @@ func (e *Engine) notify(r CellResult) {
 	defer e.mu.Unlock()
 	e.done++
 	e.OnCellDone(e.done, e.total, r)
-}
-
-// RunSafely runs one simulation and converts panics into errors, so a
-// pathological cell cannot take a whole sweep down. It is sched.RunSafely,
-// re-exported where the engines historically found it; the fleet engine
-// uses the sched primitive directly.
-func RunSafely(ctx context.Context, r *sim.Runner, opt sim.Options) (*sim.Result, error) {
-	return sched.RunSafely(ctx, r, opt)
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // sharedModels caches the expensive Chapter 4 characterization across tests.
@@ -221,33 +220,5 @@ func BenchmarkCampaign16Cells(b *testing.B) {
 		if len(rep.Failures()) != 0 {
 			b.Fatalf("failures:\n%s", rep.Summary())
 		}
-	}
-}
-
-// TestRunAllOrderAndErrors: the low-level primitive returns results in
-// input order with per-item errors.
-func TestRunAllOrderAndErrors(t *testing.T) {
-	b, err := workload.ByName("dijkstra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := []sim.Options{
-		{Policy: sim.PolicyNoFan, Bench: b, Seed: 1},
-		{Policy: sim.PolicyDTPM, Bench: b, Seed: 1}, // fails: no model
-		{Policy: sim.PolicyNoFan, Bench: b, Seed: 2},
-	}
-	eng := &Engine{Workers: 3}
-	results, errs := eng.RunAll(context.Background(), opts)
-	if results[0] == nil || errs[0] != nil {
-		t.Errorf("opt 0: res=%v err=%v", results[0], errs[0])
-	}
-	if results[1] != nil || errs[1] == nil {
-		t.Errorf("opt 1 should fail without a model, got res=%v err=%v", results[1], errs[1])
-	}
-	if results[2] == nil || errs[2] != nil {
-		t.Errorf("opt 2: res=%v err=%v", results[2], errs[2])
-	}
-	if results[0].ExecTime == results[2].ExecTime {
-		t.Log("note: different seeds gave identical exec times (possible but unusual)")
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/campaign"
-	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -33,7 +31,7 @@ type Progress struct {
 	Cached bool
 }
 
-// Engine runs device populations over the campaign worker pool.
+// Engine runs device populations over a sched worker pool.
 type Engine struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
@@ -58,9 +56,6 @@ type Engine struct {
 	// to a cold one — the store changes wall-clock time, never results.
 	Store *store.Store
 
-	mu   sync.Mutex // guards pool construction
-	pool *campaign.Engine
-
 	// modelsTag is the characterization provenance mixed into every
 	// anchor-platform cell key (lazily computed; see anchorTag).
 	// modelsInjected is pinned at the first init, before lazy
@@ -68,9 +63,15 @@ type Engine struct {
 	modelsTag        string
 	modelsInjected   bool
 	provenancePinned bool
-	// charMu serializes the lazy anchor characterization and the
-	// provenance fields above.
+	// charMu serializes the anchor-device setup: the Runner default, the
+	// lazy anchor characterization, and the provenance fields above.
 	charMu sync.Mutex
+
+	// devices caches one runner and one characterization (at BaseSeed) per
+	// non-anchor platform, built on first use and shared by all of its
+	// cells, so a platform appearing in thousands of cells is
+	// characterized exactly once.
+	devices sched.Cache
 
 	// lastMaxPending records the previous Run's high-water mark of the
 	// collector's reorder window — the observability hook the
@@ -93,34 +94,17 @@ type cellOutcome struct {
 	cached  bool
 }
 
-// runnerPlatform names the platform a runner simulates.
-func runnerPlatform(r *sim.Runner) string {
-	if r != nil && r.Desc != nil {
-		return r.Desc.Name
-	}
-	return platform.DefaultName
-}
-
-// init prepares the shared pool and pins the characterization provenance
-// tag — once per engine, so repeated Run calls (and RunCell probes) reuse
-// both. The anchor device's own characterization is deliberately NOT done
-// here: it is lazy (see deviceFor), so a fully warm store-served run never
-// pays for it.
+// init defaults the anchor device and pins the characterization
+// provenance tag — once per engine, so repeated Run calls (and RunCell
+// probes) reuse both. The anchor device's own characterization is
+// deliberately NOT done here: it is lazy (see deviceFor), so a fully warm
+// store-served run never pays for it.
 func (e *Engine) init() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.charMu.Lock()
+	defer e.charMu.Unlock()
 	if e.Runner == nil {
 		e.Runner = sim.NewRunner()
 	}
-	if e.pool == nil {
-		e.pool = &campaign.Engine{
-			Workers:  e.Workers,
-			Runner:   e.Runner,
-			BaseSeed: e.BaseSeed,
-		}
-	}
-	e.charMu.Lock()
-	defer e.charMu.Unlock()
 	if !e.provenancePinned {
 		// Pin the provenance now, before any lazy self-characterization can
 		// set e.Models: the tag itself (a digest of injected models, which
@@ -129,9 +113,6 @@ func (e *Engine) init() {
 		e.modelsInjected = e.Models != nil
 		e.provenancePinned = true
 	}
-	// A lazily characterized anchor stays out of the pool (deviceFor wraps
-	// it); injected models are served to the pool as before.
-	e.pool.Models = e.Models
 }
 
 // anchorTag names the anchor platform's characterization provenance,
@@ -152,17 +133,17 @@ func (e *Engine) anchorTag() string {
 	return e.modelsTag
 }
 
-// deviceFor resolves a cell's runner and models like the pool does, but
-// with the anchor device's characterization deferred to first need: a cell
-// that the store serves never reaches this point, so a fully warm run skips
-// characterization entirely.
+// deviceFor resolves a cell's runner and models: a non-anchor platform
+// through the per-platform cache, the anchor device with its
+// characterization deferred to first need. A cell that the store serves
+// never reaches this point, so a fully warm run skips characterization
+// entirely.
 func (e *Engine) deviceFor(ctx context.Context, name string) (*sim.Runner, *sim.Characterization, error) {
-	runner, models, err := e.pool.DeviceFor(ctx, name)
-	if err != nil || models != nil || runner != e.Runner {
-		return runner, models, err
+	if name != "" && name != e.Runner.Descriptor().Name {
+		return e.devices.Device(ctx, name, e.BaseSeed)
 	}
-	models, err = e.anchorModels(ctx)
-	return runner, models, err
+	models, err := e.anchorModels(ctx)
+	return e.Runner, models, err
 }
 
 // anchorModels characterizes the anchor device once, lazily. A failed
@@ -268,7 +249,7 @@ func (e *Engine) runCell(ctx context.Context, spec Spec, pol sim.Policy, cfg Cel
 		out.err = err.Error()
 		return out
 	}
-	res, err := campaign.RunSafely(ctx, runner, opt)
+	res, err := sched.RunSafely(ctx, runner, opt)
 	if err != nil {
 		out.err = err.Error()
 		return out
@@ -284,10 +265,7 @@ func (e *Engine) runCell(ctx context.Context, spec Spec, pol sim.Policy, cfg Cel
 // ambient shift, under the fleet's policy/constraint/period, observed by
 // the per-sample fold.
 func cellOptions(spec Spec, pol sim.Policy, cfg CellConfig, runner *sim.Runner, models *sim.Characterization, record bool) (sim.Options, *cellAgg, error) {
-	desc := runner.Desc
-	if desc == nil {
-		desc = platform.Default()
-	}
+	desc := runner.Descriptor()
 	sc, err := scenario.ByName(cfg.Scenario)
 	if err != nil {
 		return sim.Options{}, nil, err

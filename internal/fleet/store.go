@@ -150,13 +150,13 @@ type traceEntry struct {
 }
 
 // modelsTagFor names the characterization provenance of a platform's cells.
-// Non-anchor platforms are characterized by the pool at BaseSeed, so their
-// models are a pure function of (platform, BaseSeed) and the seed tags
-// them; the anchor platform uses the lazily computed anchorTag (the same
-// seed tag when the engine self-characterizes, a digest of the injected
-// models otherwise).
+// Non-anchor platforms are characterized by the platform cache at
+// BaseSeed, so their models are a pure function of (platform, BaseSeed)
+// and the seed tags them; the anchor platform uses the lazily computed
+// anchorTag (the same seed tag when the engine self-characterizes, a
+// digest of the injected models otherwise).
 func (e *Engine) modelsTagFor(platformName string) string {
-	if platformName == runnerPlatform(e.Runner) {
+	if platformName == e.Runner.Descriptor().Name {
 		return e.anchorTag()
 	}
 	return fmt.Sprintf("charseed:%d", e.BaseSeed)

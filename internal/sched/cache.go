@@ -9,8 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Cache is the per-platform device cache the campaign and fleet engines
-// share: each platform gets one runner and one characterization, built on
+// Cache is the per-platform device cache each campaign and fleet engine
+// keeps: each platform gets one runner and one characterization, built on
 // first use and served to every subsequent cell that draws the platform —
 // a platform appearing in thousands of cells is characterized exactly
 // once. The cache's own lock only guards the map; the expensive

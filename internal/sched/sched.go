@@ -2,8 +2,8 @@
 // fleet engines: a deterministic worker pool (ForEach for a known-length
 // index space, Drain for lazily planned work), completion-order streaming
 // with clean abandonment (Stream), and panic containment for individual
-// work items (RunSafely). The per-platform characterization cache the
-// engines share lives here too (Cache).
+// work items (RunSafely). The per-platform characterization cache each
+// engine keeps lives here too (Cache).
 //
 // The pool deliberately carries no result plumbing of its own: work is
 // handed out in index order from a shared counter, the closure owns any

@@ -213,9 +213,10 @@ func NewRunnerFor(d *platform.Descriptor) *Runner {
 	}
 }
 
-// desc resolves the platform descriptor (nil field = default platform, so
-// a zero-initialized &Runner{GT: ..., Thermal: ...} keeps working).
-func (r *Runner) desc() *platform.Descriptor {
+// Descriptor resolves the platform descriptor the runner simulates (nil
+// Desc field = the default platform, so a zero-initialized
+// &Runner{GT: ..., Thermal: ...} keeps working).
+func (r *Runner) Descriptor() *platform.Descriptor {
 	if r.Desc != nil {
 		return r.Desc
 	}
@@ -264,7 +265,7 @@ func (r *Runner) IdleState() thermal.State {
 }
 
 func (r *Runner) computeIdleState() thermal.State {
-	chip := platform.NewChipFor(r.desc())
+	chip := platform.NewChipFor(r.Descriptor())
 	if err := chip.Active().SetFreq(chip.Active().Domain.MinFreq()); err != nil {
 		panic(err)
 	}
@@ -352,7 +353,7 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 	}
 	gpuGov := governor.NewGPU()
 
-	desc := r.desc()
+	desc := r.Descriptor()
 	chip := platform.NewChipFor(desc)
 	nodes := chip.BigCluster.NumCores() // hotspot/sensor node count
 	maxCores := desc.MaxClusterCores()

@@ -162,12 +162,7 @@ func NewDeviceFor(name string) (*Device, error) {
 }
 
 // Platform returns the name of the profile this device simulates.
-func (d *Device) Platform() string {
-	if d.r.Desc != nil {
-		return d.r.Desc.Name
-	}
-	return platform.DefaultName
-}
+func (d *Device) Platform() string { return d.r.Descriptor().Name }
 
 // Platforms returns the registered platform profile names (default
 // platform first). These are valid for NewDeviceFor and for the campaign
@@ -193,31 +188,6 @@ func (d *Device) CharacterizeContext(ctx context.Context, seed int64) (*Models, 
 	return &Models{c: ch}, nil
 }
 
-// RunSpec describes one benchmark run.
-//
-// Deprecated: RunSpec is the pre-streaming batch spec, kept so existing
-// callers keep compiling. New code builds the unified Spec with NewSpec
-// (WithBenchmark, WithPolicy, WithModels, ...) and runs it with
-// Device.Start — docs/api.md has the field-by-field migration table.
-type RunSpec struct {
-	// Benchmark is a Table 6.4 name; see Benchmarks().
-	Benchmark string
-	// Policy is the thermal-management configuration.
-	Policy Policy
-	// Models is required for the DTPM policy (and enables the §6.3.1
-	// prediction-accuracy accounting under any policy).
-	Models *Models
-	// Seed controls sensor noise and the background load (default 0).
-	Seed int64
-	// TMax overrides the 63 °C constraint (0 = paper default).
-	TMax float64
-	// Governor overrides the default cpufreq governor ("" = ondemand;
-	// also: interactive, performance, powersave).
-	Governor string
-	// Record retains full time traces in Result.Trace.
-	Record bool
-}
-
 // Result is the outcome of one benchmark run.
 type Result struct {
 	*sim.Result
@@ -230,34 +200,7 @@ func (r *Result) Summary() string {
 		r.Bench, r.Policy, r.ExecTime, r.AvgPower, r.Energy, r.MaxTemp, r.AvgTemp, r.OverTMax, r.PredMeanPct)
 }
 
-// Run executes one benchmark under one policy to completion. It is a thin
-// wrapper over Start with a background context — same simulation, same
-// Result, byte-identical traces.
-func (d *Device) Run(spec RunSpec) (*Result, error) {
-	if spec.Benchmark == "" {
-		// Preserve the legacy error (and its ErrUnknownBenchmark sentinel)
-		// for an empty name instead of the unified spec's no-workload
-		// message, which talks about options this struct doesn't have.
-		_, err := workload.ByName(spec.Benchmark)
-		return nil, err
-	}
-	return d.runToCompletion(context.Background(), spec.unified())
-}
-
-// unified converts the deprecated batch spec to the unified Spec.
-func (spec RunSpec) unified() Spec {
-	return NewSpec(
-		WithBenchmark(spec.Benchmark),
-		WithPolicy(spec.Policy),
-		WithModels(spec.Models),
-		WithSeed(spec.Seed),
-		WithTMax(spec.TMax),
-		WithGovernor(spec.Governor),
-		WithRecord(spec.Record),
-	)
-}
-
-// runToCompletion is the shared batch path: Start, then block on Result.
+// runToCompletion runs the spec to the end: Start, then block on Result.
 func (d *Device) runToCompletion(ctx context.Context, spec Spec) (*Result, error) {
 	session, err := d.Start(ctx, spec)
 	if err != nil {
@@ -342,95 +285,34 @@ func Scenarios() []string { return scenario.Names() }
 // ScenarioByName returns a library scenario's declarative spec.
 func ScenarioByName(name string) (ScenarioSpec, error) { return scenario.ByName(name) }
 
-// ScenarioRunSpec describes one scenario run.
-//
-// Deprecated: ScenarioRunSpec is the pre-streaming batch spec, kept so
-// existing callers keep compiling. New code builds the unified Spec with
-// NewSpec (WithScenario or WithScenarioSpec, WithPolicy, ...) and runs it
-// with Device.Start — docs/api.md has the field-by-field migration table.
-type ScenarioRunSpec struct {
-	// Scenario is a library scenario name (see Scenarios()); ignored when
-	// Spec is set.
-	Scenario string
-	// Spec is a custom declarative scenario (takes precedence).
-	Spec *ScenarioSpec
-	// Policy is the thermal-management configuration.
-	Policy Policy
-	// Models is required for the DTPM policy.
-	Models *Models
-	// Seed controls sensor noise and the background load; the scenario's
-	// own Seed field fixes the workload demand, so replicate seeds vary
-	// the noise around an identical scenario.
-	Seed int64
-	// TMax overrides the 63 °C constraint (0 = paper default).
-	TMax float64
-	// Governor sets the initial cpufreq governor ("" = ondemand); phases
-	// may swap it mid-run.
-	Governor string
-	// Record retains full time traces, including the scripted input
-	// series that make the trace replayable (see ReplayTrace).
-	Record bool
-}
-
-// RunScenario executes one multi-phase scenario to completion. The spec is
-// validated against the device's platform profile (thread counts the
-// platform cannot schedule are rejected), like the CLI and campaign paths.
-// It is a thin wrapper over Start with a background context.
-func (d *Device) RunScenario(spec ScenarioRunSpec) (*Result, error) {
-	if spec.Spec == nil && spec.Scenario == "" {
-		// Preserve the legacy error (and its ErrUnknownScenario sentinel)
-		// for an empty name, as in Run.
-		_, err := scenario.ByName(spec.Scenario)
-		return nil, err
-	}
-	wl := WithScenario(spec.Scenario)
-	if spec.Spec != nil {
-		wl = WithScenarioSpec(spec.Spec)
-	}
-	return d.runToCompletion(context.Background(), NewSpec(
-		wl,
-		WithPolicy(spec.Policy),
-		WithModels(spec.Models),
-		WithSeed(spec.Seed),
-		WithTMax(spec.TMax),
-		WithGovernor(spec.Governor),
-		WithRecord(spec.Record),
-	))
-}
-
 // TraceDiff re-exports the sample-by-sample trace comparison report.
 type TraceDiff = trace.DiffReport
 
 // ReadTrace parses a trace CSV — written by Result.Rec.WriteCSV or
-// `cmd/scenario record` — back into a recorder ReplayTrace accepts, so the
+// `cmd/scenario record` — back into a recorder WithTrace accepts, so the
 // record-to-file / replay-later workflow works outside this module too.
 func ReadTrace(r io.Reader) (*trace.Recorder, error) { return trace.ReadCSV(r) }
 
-// ReplayTrace re-feeds a recorded scenario trace as the workload demand
-// source (zero-order hold over the recorded input series), runs a fresh
-// simulation under the same policy/seed/constraint, and returns the fresh
-// result plus the sample-by-sample diff against the recording. With the
-// parameters of the original run, the diff reports zero mismatches — any
-// drift means the sim/thermal/dtpm stack changed behaviour.
+// ReplayTrace runs a spec built with WithTrace — the recorded scenario
+// trace re-fed as the workload demand source (zero-order hold over the
+// recorded input series) — to completion, and returns the fresh result plus
+// the sample-by-sample diff against that recording. With the policy, seed,
+// constraint, and governor of the original run, the diff reports zero
+// mismatches — any drift means the sim/thermal/dtpm stack changed
+// behaviour.
 //
-// The trace supplies the workload and the control period, so only the
-// spec's Policy, Models, Seed, TMax, and Governor fields apply here;
-// Scenario and Spec are ignored and the fresh run always records. It is a
-// thin wrapper over Start with a background context (WithTrace is the
-// streaming-capable form).
-func (d *Device) ReplayTrace(rec *trace.Recorder, spec ScenarioRunSpec) (*Result, *TraceDiff, error) {
-	res, err := d.runToCompletion(context.Background(), NewSpec(
-		WithTrace(rec),
-		WithPolicy(spec.Policy),
-		WithModels(spec.Models),
-		WithSeed(spec.Seed),
-		WithTMax(spec.TMax),
-		WithGovernor(spec.Governor),
-	))
+// A spec with any other workload (or none) is an error returned before
+// anything runs. Like Compare, it blocks until the run ends; cancelling the
+// context stops it between control intervals and returns the error.
+func (d *Device) ReplayTrace(ctx context.Context, spec Spec) (*Result, *TraceDiff, error) {
+	if spec.trace == nil {
+		return nil, nil, fmt.Errorf("repro: ReplayTrace needs a spec built with WithTrace")
+	}
+	res, err := d.runToCompletion(ctx, spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, trace.DiffRecorders(rec.Materialize(), res.Rec.Materialize(), 0), nil
+	return res, trace.DiffRecorders(spec.trace.Materialize(), res.Rec.Materialize(), 0), nil
 }
 
 // Benchmarks returns the Table 6.4 benchmark names.

@@ -54,7 +54,8 @@ func TestBenchmarksByClass(t *testing.T) {
 
 func TestRunAndSummary(t *testing.T) {
 	dev := NewDevice()
-	res, err := dev.Run(RunSpec{Benchmark: "dijkstra", Policy: DTPM, Models: models(t), Seed: 3})
+	res, err := dev.runToCompletion(context.Background(), NewSpec(
+		WithBenchmark("dijkstra"), WithPolicy(DTPM), WithModels(models(t)), WithSeed(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestRunAndSummary(t *testing.T) {
 }
 
 func TestRunUnknownBenchmark(t *testing.T) {
-	_, err := NewDevice().Run(RunSpec{Benchmark: "doom", Policy: WithFan})
+	_, err := NewDevice().Start(context.Background(), NewSpec(WithBenchmark("doom"), WithPolicy(WithFan)))
 	if err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}

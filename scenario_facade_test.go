@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -24,12 +25,13 @@ func TestScenariosList(t *testing.T) {
 
 func TestRunScenarioAndReplay(t *testing.T) {
 	dev := NewDevice()
-	res, err := dev.RunScenario(ScenarioRunSpec{
-		Scenario: "cold-start",
-		Policy:   WithFan,
-		Seed:     11,
-		Record:   true,
-	})
+	ctx := context.Background()
+	res, err := dev.runToCompletion(ctx, NewSpec(
+		WithScenario("cold-start"),
+		WithPolicy(WithFan),
+		WithSeed(11),
+		WithRecord(true),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func TestRunScenarioAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, diff, err := dev.ReplayTrace(parsed, ScenarioRunSpec{Policy: WithFan, Seed: 11})
+	fresh, diff, err := dev.ReplayTrace(ctx, NewSpec(WithTrace(parsed), WithPolicy(WithFan), WithSeed(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +66,43 @@ func TestRunScenarioAndReplay(t *testing.T) {
 	}
 
 	// A different seed must visibly diverge (the diff is not vacuous).
-	_, diff2, err := dev.ReplayTrace(res.Rec, ScenarioRunSpec{Policy: WithFan, Seed: 12})
+	_, diff2, err := dev.ReplayTrace(ctx, NewSpec(WithTrace(res.Rec), WithPolicy(WithFan), WithSeed(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff2.Clean() {
 		t.Error("replay with a different seed should not match the recording")
+	}
+}
+
+// TestReplayTraceRequiresTrace pins the ReplayTrace contract: only a spec
+// built with WithTrace replays. Any other workload, or none, is an error
+// with nil results, returned before a simulation step runs or a run
+// goroutine starts.
+func TestReplayTraceRequiresTrace(t *testing.T) {
+	dev := NewDevice()
+	steps := 0
+	count := WithObserver(func(Sample) { steps++ })
+	before := runtime.NumGoroutine()
+	for name, spec := range map[string]Spec{
+		"no workload": NewSpec(WithPolicy(WithFan), count),
+		"benchmark":   NewSpec(WithBenchmark("dijkstra"), WithPolicy(WithFan), count),
+		"scenario":    NewSpec(WithScenario("cold-start"), WithPolicy(WithFan), count),
+	} {
+		res, diff, err := dev.ReplayTrace(context.Background(), spec)
+		if err == nil {
+			t.Errorf("%s: ReplayTrace accepted a spec without WithTrace", name)
+		}
+		if res != nil || diff != nil {
+			t.Errorf("%s: rejected spec returned result %v, diff %v", name, res, diff)
+		}
+	}
+	if steps != 0 {
+		t.Errorf("rejected specs ran %d control intervals", steps)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("rejected specs started goroutines: %d before, %d after\n%s", before, now, buf[:runtime.Stack(buf, true)])
 	}
 }
 
@@ -83,7 +116,8 @@ func TestRunScenarioCustomSpec(t *testing.T) {
 			{Name: "gap", DurationS: 4},
 		},
 	}
-	res, err := dev.RunScenario(ScenarioRunSpec{Spec: &spec, Policy: WithoutFan, Seed: 2})
+	res, err := dev.runToCompletion(context.Background(), NewSpec(
+		WithScenarioSpec(&spec), WithPolicy(WithoutFan), WithSeed(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +127,9 @@ func TestRunScenarioCustomSpec(t *testing.T) {
 	// Invalid specs are rejected, not run.
 	bad := spec
 	bad.Phases = nil
-	if _, err := dev.RunScenario(ScenarioRunSpec{Spec: &bad, Policy: WithoutFan}); err == nil {
-		t.Error("RunScenario accepted a spec with no phases")
+	if _, err := dev.Start(context.Background(), NewSpec(
+		WithScenarioSpec(&bad), WithPolicy(WithoutFan))); err == nil {
+		t.Error("Start accepted a scenario spec with no phases")
 	}
 }
 

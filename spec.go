@@ -25,9 +25,6 @@ import (
 // Exactly one workload option — WithBenchmark, WithScenario,
 // WithScenarioSpec, or WithTrace — must be given; everything else defaults
 // to the paper's configuration. The zero Spec is not runnable.
-//
-// Spec replaces the deprecated RunSpec and ScenarioRunSpec structs; the
-// migration table in docs/api.md maps every old field to its option.
 type Spec struct {
 	policy   Policy
 	models   *Models
