@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -58,15 +59,25 @@ func main() {
 	}
 	ctx.SetWorkers(*workers)
 
+	if err := regenerate(ctx, todo, os.Stdout, os.Stderr); err != nil {
+		fatal(err)
+	}
+}
+
+// regenerate runs each artifact in order, printing its report and a blank
+// line to out and one progress line per artifact to progress.
+func regenerate(ctx *experiments.Context, todo []experiments.Experiment, out, progress io.Writer) error {
 	for n, e := range todo {
-		fmt.Fprintf(os.Stderr, "experiments: [%d/%d] %s: %s\n", n+1, len(todo), e.ID, e.Title)
+		fmt.Fprintf(progress, "experiments: [%d/%d] %s: %s\n", n+1, len(todo), e.ID, e.Title)
 		rep, err := e.Run(ctx)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", e.ID, err))
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		fmt.Println(rep)
-		fmt.Println()
+		if _, err := fmt.Fprintf(out, "%s\n\n", rep); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // listText renders the -list output: one "id title" line per artifact, in
