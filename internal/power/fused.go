@@ -2,19 +2,22 @@ package power
 
 import "repro/internal/platform"
 
-// StepInto computes, in one pass, everything the per-interval simulation
-// loop needs from the ground-truth model: the full Breakdown (what
-// Evaluate returns) plus the per-hotspot core powers and the board-node
-// power (what CorePowersInto returns). Calling Evaluate and then
-// CorePowersInto, which internally re-runs Evaluate, takes three passes
-// over the exponential leakage law per interval where one suffices. With four big cores that is 20 Exp evaluations reduced to 7.
+// StepInto evaluates the ground-truth power of one instant (Eq. 4.1
+// dynamic plus Eq. 4.2 leakage per domain) for the given chip
+// configuration, activity, and temperatures. coreTemps are the big-cluster
+// hotspot temperatures (°C) used for big-cluster leakage; boardTemp (°C) is
+// used for the other domains. Per-core leakage uses each core's own hotspot
+// temperature, which is what makes the leakage-temperature loop (§4.1.1)
+// visible to the DTPM algorithm.
 //
-// The contract is bit-identity with the two-call sequence: every Dynamic
-// and Leakage term is computed by the same expressions on the same
-// arguments, each exactly once, and combined in the same order — when the
-// big cluster is active, nc == nBig, so Evaluate's leak share li/nc and
-// CorePowersInto's li/nBig are the same division. The simulation loop is
-// built on this; fused_test.go enforces it against the oracle pair.
+// It returns the Breakdown, writes the per-hotspot powers of the big
+// cluster into core (length = big-cluster core count), and returns the
+// board-node power (little + GPU + mem + gated residuals) for the thermal
+// network. When the little cluster is active the big cores dissipate only
+// their gated residual and the little cluster's power heats the board
+// node. Each Dynamic and Leakage term is computed once and feeds both
+// outputs; fused_test.go pins the result bit for bit against a reference
+// that evaluates the breakdown and the hotspot powers separately.
 func (g *GroundTruth) StepInto(core []float64, chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) (Breakdown, float64) {
 	var b Breakdown
 	b.Base = g.Base
@@ -73,8 +76,7 @@ func (g *GroundTruth) StepInto(core []float64, chip *platform.Chip, act ChipActi
 	b.Domain[platform.GPU] = g.Dynamic(platform.GPU, gv, chip.GPUFreq(), act.GPUUtil, act.GPUActivity) + gleak
 	b.Leakage[platform.GPU] = gleak
 
-	// Memory: MemPower recomputes the same leakage term internally; reuse
-	// it with the identical expression shape (static + traffic + leak).
+	// Memory: static + traffic + leak.
 	mleak := g.Res[platform.Mem].Leak.Power(boardTemp, g.Res[platform.Mem].Leak.VNom)
 	traffic := act.MemTraffic
 	if traffic < 0 {

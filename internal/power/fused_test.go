@@ -9,7 +9,7 @@ import (
 )
 
 // TestStepIntoMatchesEvaluatePair pins the fused evaluation's contract:
-// StepInto returns exactly what the Evaluate + CorePowersInto pair
+// StepInto returns exactly what the refEvaluate + refCorePowersInto pair
 // returns — same bits, not same values — across active clusters, offline
 // cores, fan speeds, and activity mixes on every registered platform.
 func TestStepIntoMatchesEvaluatePair(t *testing.T) {
@@ -28,8 +28,8 @@ func TestStepIntoMatchesEvaluatePair(t *testing.T) {
 				t.Helper()
 				wantCore := make([]float64, nBig)
 				gotCore := make([]float64, nBig)
-				wantB := g.Evaluate(chip, act, coreTemps, boardTemp)
-				wantBoard := g.CorePowersInto(wantCore, chip, act, coreTemps, boardTemp)
+				wantB := refEvaluate(g, chip, act, coreTemps, boardTemp)
+				wantBoard := refCorePowersInto(g, wantCore, chip, act, coreTemps, boardTemp)
 				gotB, gotBoard := g.StepInto(gotCore, chip, act, coreTemps, boardTemp)
 				if gotB != wantB {
 					t.Fatalf("%s: breakdown diverges:\nfused %+v\npair  %+v", label, gotB, wantB)
@@ -86,4 +86,91 @@ func TestStepIntoMatchesEvaluatePair(t *testing.T) {
 			check("neg-traffic", ChipActivity{CoreUtil: make([]float64, nBig), CPUActivity: 1, MemTraffic: -3}, make([]float64, nBig), 22)
 		})
 	}
+}
+
+// refEvaluate is the reference breakdown: each domain's power evaluated on
+// its own, in the order the paper's §4.1 model lists them.
+func refEvaluate(g *GroundTruth, chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) Breakdown {
+	var b Breakdown
+	b.Base = g.Base
+	b.Fan = g.FanPower(act.FanSpeed)
+
+	active := chip.Active()
+	v := active.Volt()
+	f := active.Freq()
+
+	// Active cluster: per-core dynamic power plus per-core leakage share.
+	var dyn, leak float64
+	res := platform.Big
+	if active.Kind == platform.LittleCluster {
+		res = platform.Little
+	}
+	nc := active.NumCores()
+	for i := 0; i < nc; i++ {
+		if !active.CoreOnline(i) {
+			continue
+		}
+		dyn += g.Dynamic(res, v, f, act.CoreUtil[i], act.CPUActivity)
+		t := boardTemp
+		if res == platform.Big {
+			t = coreTemps[i]
+		}
+		leak += g.Leakage(res, t, v) / float64(nc)
+	}
+	b.Domain[res] = dyn + leak
+	b.Leakage[res] = leak
+
+	// Inactive cluster is power gated: a tiny residual leakage remains.
+	inactive := platform.Little
+	if res == platform.Little {
+		inactive = platform.Big
+	}
+	residual := 0.02 * g.Leakage(inactive, boardTemp, g.Res[inactive].Leak.VNom)
+	b.Domain[inactive] = residual
+	b.Leakage[inactive] = residual
+
+	gv := chip.GPUVolt()
+	gleak := g.Leakage(platform.GPU, boardTemp, gv)
+	b.Domain[platform.GPU] = g.Dynamic(platform.GPU, gv, chip.GPUFreq(), act.GPUUtil, act.GPUActivity) + gleak
+	b.Leakage[platform.GPU] = gleak
+
+	mleak := g.Res[platform.Mem].Leak.Power(boardTemp, g.Res[platform.Mem].Leak.VNom)
+	b.Domain[platform.Mem] = refMemPower(g, boardTemp, act.MemTraffic)
+	b.Leakage[platform.Mem] = mleak
+	return b
+}
+
+// refMemPower is the reference memory power for a combined traffic level.
+func refMemPower(g *GroundTruth, tC, trafficActivity float64) float64 {
+	if trafficActivity < 0 {
+		trafficActivity = 0
+	}
+	leak := g.Res[platform.Mem].Leak.Power(tC, g.Res[platform.Mem].Leak.VNom)
+	return g.MemStatic + g.MemPerActivity*trafficActivity + leak
+}
+
+// refCorePowersInto is the reference thermal input: it writes the
+// per-hotspot powers into core and returns the board-node power, taking
+// the gated and board terms from a second refEvaluate.
+func refCorePowersInto(g *GroundTruth, core []float64, chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) float64 {
+	b := refEvaluate(g, chip, act, coreTemps, boardTemp)
+	nBig := chip.BigCluster.NumCores()
+	if chip.ActiveKind() == platform.BigCluster {
+		active := chip.Active()
+		v := active.Volt()
+		f := active.Freq()
+		for i := 0; i < nBig; i++ {
+			if !active.CoreOnline(i) {
+				core[i] = 0
+				continue
+			}
+			core[i] = g.Dynamic(platform.Big, v, f, act.CoreUtil[i], act.CPUActivity) +
+				g.Leakage(platform.Big, coreTemps[i], v)/float64(nBig)
+		}
+	} else {
+		for i := 0; i < nBig; i++ {
+			core[i] = b.Domain[platform.Big] / float64(nBig)
+		}
+	}
+	return b.Domain[platform.Little] + b.Domain[platform.GPU] + b.Domain[platform.Mem] + g.BaseBoardHeat
 }

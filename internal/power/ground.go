@@ -139,15 +139,6 @@ func (g *GroundTruth) Leakage(r platform.Resource, tC, v float64) float64 {
 	return g.Res[r].Leak.Power(tC, v)
 }
 
-// MemPower returns memory power given a combined traffic activity level.
-func (g *GroundTruth) MemPower(tC, trafficActivity float64) float64 {
-	if trafficActivity < 0 {
-		trafficActivity = 0
-	}
-	leak := g.Res[platform.Mem].Leak.Power(tC, g.Res[platform.Mem].Leak.VNom)
-	return g.MemStatic + g.MemPerActivity*trafficActivity + leak
-}
-
 // FanPower returns the fan power draw at the given speed fraction [0, 1].
 // Small DC fan draw grows superlinearly with duty (P â speed^1.5 sits
 // between the linear motor-loss and cubic aerodynamic regimes): the
@@ -209,102 +200,4 @@ type ChipActivity struct {
 	MemTraffic float64
 	// FanSpeed is the current fan speed fraction [0,1].
 	FanSpeed float64
-}
-
-// CorePowers returns the per-core power (W) of the big-cluster hotspot
-// nodes and the aggregate board-node power (little + GPU + mem + gated
-// residuals) for the thermal network. When the little cluster is active the
-// big cores dissipate only their gated residual and the little cluster's
-// power heats the board node.
-func (g *GroundTruth) CorePowers(chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) (core []float64, board float64) {
-	core = make([]float64, chip.BigCluster.NumCores())
-	board = g.CorePowersInto(core, chip, act, coreTemps, boardTemp)
-	return core, board
-}
-
-// CorePowersInto is the allocation-free form of CorePowers: it writes the
-// per-hotspot powers into core (length = big-cluster core count) and
-// returns the board-node power.
-func (g *GroundTruth) CorePowersInto(core []float64, chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) (board float64) {
-	b := g.Evaluate(chip, act, coreTemps, boardTemp)
-	nBig := chip.BigCluster.NumCores()
-	if chip.ActiveKind() == platform.BigCluster {
-		active := chip.Active()
-		v := active.Volt()
-		f := active.Freq()
-		for i := 0; i < nBig; i++ {
-			if !active.CoreOnline(i) {
-				core[i] = 0
-				continue
-			}
-			core[i] = g.Dynamic(platform.Big, v, f, act.CoreUtil[i], act.CPUActivity) +
-				g.Leakage(platform.Big, coreTemps[i], v)/float64(nBig)
-		}
-	} else {
-		// Big cores gated: split the residual evenly across the hotspots.
-		for i := 0; i < nBig; i++ {
-			core[i] = b.Domain[platform.Big] / float64(nBig)
-		}
-	}
-	board = b.Domain[platform.Little] + b.Domain[platform.GPU] + b.Domain[platform.Mem] + g.BaseBoardHeat
-	return board
-}
-
-// Evaluate computes the ground-truth power breakdown for the given chip
-// configuration, activity, and temperatures. coreTemps are the big-cluster
-// hotspot temperatures (°C) used for big-cluster leakage; boardTemp (°C) is
-// used for the other domains. Per-core leakage uses each core's own hotspot
-// temperature, which is what makes the leakage-temperature loop (§4.1.1)
-// visible to the DTPM algorithm.
-func (g *GroundTruth) Evaluate(chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) Breakdown {
-	var b Breakdown
-	b.Base = g.Base
-	b.Fan = g.FanPower(act.FanSpeed)
-
-	active := chip.Active()
-	v := active.Volt()
-	f := active.Freq()
-
-	// Active cluster: per-core dynamic power plus per-core leakage share.
-	var dyn, leak float64
-	res := platform.Big
-	if active.Kind == platform.LittleCluster {
-		res = platform.Little
-	}
-	nc := active.NumCores()
-	for i := 0; i < nc; i++ {
-		if !active.CoreOnline(i) {
-			continue
-		}
-		dyn += g.Dynamic(res, v, f, act.CoreUtil[i], act.CPUActivity)
-		t := boardTemp
-		if res == platform.Big {
-			t = coreTemps[i]
-		}
-		leak += g.Leakage(res, t, v) / float64(nc)
-	}
-	b.Domain[res] = dyn + leak
-	b.Leakage[res] = leak
-
-	// Inactive cluster is power gated: a tiny residual leakage remains.
-	inactive := platform.Little
-	if res == platform.Little {
-		inactive = platform.Big
-	}
-	residual := 0.02 * g.Leakage(inactive, boardTemp, g.Res[inactive].Leak.VNom)
-	b.Domain[inactive] = residual
-	b.Leakage[inactive] = residual
-
-	// GPU.
-	gv := chip.GPUVolt()
-	gleak := g.Leakage(platform.GPU, boardTemp, gv)
-	b.Domain[platform.GPU] = g.Dynamic(platform.GPU, gv, chip.GPUFreq(), act.GPUUtil, act.GPUActivity) + gleak
-	b.Leakage[platform.GPU] = gleak
-
-	// Memory.
-	mleak := g.Res[platform.Mem].Leak.Power(boardTemp, g.Res[platform.Mem].Leak.VNom)
-	b.Domain[platform.Mem] = g.MemPower(boardTemp, act.MemTraffic)
-	b.Leakage[platform.Mem] = mleak
-
-	return b
 }

@@ -142,12 +142,18 @@ func TestFanPower(t *testing.T) {
 
 func TestMemPower(t *testing.T) {
 	g := DefaultGroundTruth()
-	idle := g.MemPower(40, 0)
-	busy := g.MemPower(40, 1.5)
+	memPower := func(tC, traffic float64) float64 {
+		chip := platform.NewChip()
+		act := ChipActivity{CoreUtil: make([]float64, 4), MemTraffic: traffic}
+		b, _ := g.StepInto(make([]float64, 4), chip, act, make([]float64, 4), tC)
+		return b.Domain[platform.Mem]
+	}
+	idle := memPower(40, 0)
+	busy := memPower(40, 1.5)
 	if idle <= 0 || busy <= idle {
 		t.Fatalf("mem power wrong: idle %v busy %v", idle, busy)
 	}
-	if g.MemPower(40, -1) != idle {
+	if memPower(40, -1) != idle {
 		t.Fatal("negative traffic should clamp")
 	}
 }
@@ -164,7 +170,7 @@ func TestEvaluateBreakdown(t *testing.T) {
 		FanSpeed:    0.5,
 	}
 	temps := []float64{65, 64, 63, 62}
-	b := g.Evaluate(chip, act, temps, 50)
+	b, _ := g.StepInto(make([]float64, 4), chip, act, temps, 50)
 	if b.Domain[platform.Big] < 3.2 || b.Domain[platform.Big] > 4.8 {
 		t.Fatalf("big cluster power = %.3f W, want ~4 (quad A15 near full load)", b.Domain[platform.Big])
 	}
@@ -186,13 +192,13 @@ func TestEvaluateOfflineCoresDrawNoDynamic(t *testing.T) {
 	g := DefaultGroundTruth()
 	chip := platform.NewChip()
 	act := ChipActivity{CoreUtil: []float64{1, 1, 1, 1}, CPUActivity: 1}
-	full := g.Evaluate(chip, act, []float64{60, 60, 60, 60}, 50)
+	full, _ := g.StepInto(make([]float64, 4), chip, act, []float64{60, 60, 60, 60}, 50)
 	for i := 1; i < 4; i++ {
 		if err := chip.Active().SetCoreOnline(i, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	one := g.Evaluate(chip, act, []float64{60, 60, 60, 60}, 50)
+	one, _ := g.StepInto(make([]float64, 4), chip, act, []float64{60, 60, 60, 60}, 50)
 	if one.Domain[platform.Big] >= full.Domain[platform.Big]/2 {
 		t.Fatalf("1-core power %.3f should be well under 4-core %.3f", one.Domain[platform.Big], full.Domain[platform.Big])
 	}
@@ -203,8 +209,8 @@ func TestEvaluateLittleClusterUsesBoardTemp(t *testing.T) {
 	chip := platform.NewChip()
 	chip.SwitchCluster(platform.LittleCluster)
 	act := ChipActivity{CoreUtil: []float64{1, 1, 1, 1}, CPUActivity: 1}
-	cold := g.Evaluate(chip, act, []float64{90, 90, 90, 90}, 40)
-	hot := g.Evaluate(chip, act, []float64{90, 90, 90, 90}, 70)
+	cold, _ := g.StepInto(make([]float64, 4), chip, act, []float64{90, 90, 90, 90}, 40)
+	hot, _ := g.StepInto(make([]float64, 4), chip, act, []float64{90, 90, 90, 90}, 70)
 	if hot.Domain[platform.Little] <= cold.Domain[platform.Little] {
 		t.Fatal("little leakage should track board temperature")
 	}

@@ -272,8 +272,9 @@ func (r *Runner) computeIdleState() thermal.State {
 	sim := thermal.NewSim(r.Thermal)
 	act := power.ChipActivity{CoreUtil: idleCoreUtil(chip.BigCluster.NumCores()), CPUActivity: 1, MemTraffic: 0.05}
 	st := sim.State()
+	core := make([]float64, chip.BigCluster.NumCores())
 	for i := 0; i < 4; i++ {
-		core, board := r.GT.CorePowers(chip, act, st.Core, st.Board)
+		_, board := r.GT.StepInto(core, chip, act, st.Core, st.Board)
 		st = sim.SteadyState(thermal.Input{CorePower: core, BoardPower: board})
 		sim.SetState(st)
 	}
@@ -528,10 +529,11 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 		predRing = a.preds[:0]
 		predictor = opt.Model.NewPredictor()
 	}
-	// Initialize the power observation with an idle reading.
+	// Initialize the power observation with an idle reading. corePow is
+	// free until the first interval's StepInto rewrites it.
 	idleAct := power.ChipActivity{CoreUtil: prevUtil, CPUActivity: 1}
 	tsim.StateInto(&st)
-	b0 := r.GT.Evaluate(chip, idleAct, st.Core, st.Board)
+	b0, _ := r.GT.StepInto(corePow, chip, idleAct, st.Core, st.Board)
 	prevPowers = b0.Domain
 
 	// Cancellation is checked at the top of every control interval against

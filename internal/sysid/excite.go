@@ -103,6 +103,7 @@ func (r *Rig) FurnaceTempSweep(setpointsC []float64, freq platform.KHz, samplesP
 	}
 	v := chip.Active().Volt()
 	act := lightActivity(chip.BigCluster.NumCores())
+	core := make([]float64, chip.BigCluster.NumCores())
 
 	var out []FurnaceSample
 	for _, amb := range setpointsC {
@@ -113,11 +114,11 @@ func (r *Rig) FurnaceTempSweep(setpointsC []float64, freq platform.KHz, samplesP
 		// (leakage depends on temperature, temperature on power: §4.1.1).
 		st := sim.State()
 		for i := 0; i < 5; i++ {
-			core, board := r.GT.CorePowers(chip, act, st.Core, st.Board)
+			_, board := r.GT.StepInto(core, chip, act, st.Core, st.Board)
 			st = sim.SteadyState(thermal.Input{CorePower: core, BoardPower: board})
 			sim.SetState(st)
 		}
-		truth := r.GT.Evaluate(chip, act, st.Core, st.Board)
+		truth, _ := r.GT.StepInto(core, chip, act, st.Core, st.Board)
 		for s := 0; s < samplesPer; s++ {
 			out = append(out, FurnaceSample{
 				TempC: r.Sensors.ReadTemp(st.MaxCore()),
@@ -139,6 +140,7 @@ func (r *Rig) FurnaceFreqSweep(setpointC float64, samplesPer int) ([]FurnaceSamp
 	}
 	chip := platform.NewChipFor(r.desc())
 	act := lightActivity(chip.BigCluster.NumCores())
+	core := make([]float64, chip.BigCluster.NumCores())
 	d := chip.Active().Domain
 
 	var out []FurnaceSample
@@ -151,11 +153,11 @@ func (r *Rig) FurnaceFreqSweep(setpointC float64, samplesPer int) ([]FurnaceSamp
 		sim := thermal.NewSim(tp)
 		st := sim.State()
 		for i := 0; i < 5; i++ {
-			core, board := r.GT.CorePowers(chip, act, st.Core, st.Board)
+			_, board := r.GT.StepInto(core, chip, act, st.Core, st.Board)
 			st = sim.SteadyState(thermal.Input{CorePower: core, BoardPower: board})
 			sim.SetState(st)
 		}
-		truth := r.GT.Evaluate(chip, act, st.Core, st.Board)
+		truth, _ := r.GT.StepInto(core, chip, act, st.Core, st.Board)
 		for s := 0; s < samplesPer; s++ {
 			out = append(out, FurnaceSample{
 				TempC: r.Sensors.ReadTemp(st.MaxCore()),
@@ -240,6 +242,7 @@ func (r *Rig) CollectPRBS(cfg PRBSConfig) (*Dataset, error) {
 
 	nodes := chip.BigCluster.NumCores()
 	ds := &Dataset{Ts: r.Ts, Ambient: r.Thermal.Ambient, States: nodes}
+	core := make([]float64, nodes)
 
 	// Baseline configuration: everything minimal.
 	if err := chip.Active().SetFreq(chip.Active().Domain.MinFreq()); err != nil {
@@ -288,12 +291,11 @@ func (r *Rig) CollectPRBS(cfg PRBSConfig) (*Dataset, error) {
 		}
 
 		st := sim.State()
-		truth := r.GT.Evaluate(chip, act, st.Core, st.Board)
+		truth, board := r.GT.StepInto(core, chip, act, st.Core, st.Board)
 		temps := r.Sensors.ReadCoreTemps(st.Core)
 		powers := r.Sensors.ReadDomainPowers(truth.Domain)
 		ds.Append(temps, powers[:])
 
-		core, board := r.GT.CorePowers(chip, act, st.Core, st.Board)
 		sim.Step(r.Ts, thermal.Input{CorePower: core, BoardPower: board})
 	}
 	return ds, nil
