@@ -359,15 +359,11 @@ func (e *Engine) deviceFor(ctx context.Context, name string) (*sim.Runner, *sim.
 	return e.devices.Device(ctx, name, e.BaseSeed)
 }
 
-// Run executes every cell of the grid and returns the report. Individual
-// cell failures (unknown benchmark, bad governor, missing models, panics)
-// are recorded in the report; Run itself only fails on an empty grid.
-func (e *Engine) Run(grid Grid) (*Report, error) {
-	return e.RunContext(context.Background(), grid)
-}
-
-// RunContext is Run with cancellation: it collects the Stream into the
-// deterministic cell-index order the exports rely on. On cancellation it
+// RunContext executes every cell of the grid and returns the report,
+// collecting the Stream into the deterministic cell-index order the exports
+// rely on. Individual cell failures (unknown benchmark, bad governor,
+// missing models, panics) are recorded in the report; RunContext fails
+// only on an empty grid or on cancellation. On cancellation it
 // returns the partial report — completed cells keep their bit-exact
 // metrics, in-flight cells are collected as cancelled failures, cells that
 // never started are marked "cancelled before start" — together with an

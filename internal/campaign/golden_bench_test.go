@@ -36,7 +36,7 @@ func TestGoldenBenchmarkGrid(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			eng := &Engine{Workers: workers, Models: testModels(t), BaseSeed: 11}
-			rep, err := eng.Run(goldenBenchGrid())
+			rep, err := eng.RunContext(context.Background(), goldenBenchGrid())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestCampaignStoreWarmRun(t *testing.T) {
 	}
 	run := func() ([]byte, []byte) {
 		eng := &Engine{Workers: 4, BaseSeed: 1, Store: st}
-		rep, err := eng.Run(grid)
+		rep, err := eng.RunContext(context.Background(), grid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestCampaignStoreScenarioEdit(t *testing.T) {
 	run := func() {
 		t.Helper()
 		eng := &Engine{Workers: 2, BaseSeed: 1, Store: st}
-		rep, err := eng.Run(grid)
+		rep, err := eng.RunContext(context.Background(), grid)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func streamGrid() Grid {
 // the completion order the cells were yielded in.
 func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	grid := streamGrid()
-	baseline, err := (&Engine{Workers: 1, BaseSeed: 7}).Run(grid)
+	baseline, err := (&Engine{Workers: 1, BaseSeed: 7}).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestStreamEarlyBreak(t *testing.T) {
 		break
 	}
 	// The engine stays usable after an abandoned stream.
-	rep, err := eng.Run(grid)
+	rep, err := eng.RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}

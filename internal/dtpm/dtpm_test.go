@@ -93,19 +93,6 @@ func TestNewControllerValidation(t *testing.T) {
 	}
 }
 
-func TestUnlimitedLimits(t *testing.T) {
-	l := Unlimited(platform.CoresPerCluster)
-	if l.BigFreqCap != 0 || l.LittleFreqCap != 0 || l.GPUFreqCap != 0 {
-		t.Error("Unlimited has frequency caps")
-	}
-	if l.MaxBigCores != platform.CoresPerCluster {
-		t.Errorf("MaxBigCores = %d", l.MaxBigCores)
-	}
-	if l.ForceLittle || l.OfflineCore != -1 {
-		t.Error("Unlimited forces configuration changes")
-	}
-}
-
 // coolInputs returns inputs far from the constraint.
 func coolInputs(chip *platform.Chip) Inputs {
 	return Inputs{
@@ -334,31 +321,31 @@ func TestReactiveHeuristicLevels(t *testing.T) {
 		t.Errorf("cap %v at 50 °C, want none", cap)
 	}
 	cap1 := r.Cap(64, d)
-	if cap1 == 0 || r.Level() != 1 {
-		t.Errorf("level %d cap %v at 64 °C", r.Level(), cap1)
+	if cap1 == 0 || r.level != 1 {
+		t.Errorf("level %d cap %v at 64 °C", r.level, cap1)
 	}
 	wantMid := d.FloorFreq(platform.KHz(float64(d.MaxFreq()) * 0.82))
 	if cap1 != wantMid {
 		t.Errorf("mid cap %v, want %v (18%% cut)", cap1, wantMid)
 	}
 	cap2 := r.Cap(69, d)
-	if r.Level() != 2 || cap2 >= cap1 {
-		t.Errorf("level %d cap %v at 69 °C", r.Level(), cap2)
+	if r.level != 2 || cap2 >= cap1 {
+		t.Errorf("level %d cap %v at 69 °C", r.level, cap2)
 	}
 	wantHigh := d.FloorFreq(platform.KHz(float64(d.MaxFreq()) * 0.75))
 	if cap2 != wantHigh {
 		t.Errorf("high cap %v, want %v (25%% cut)", cap2, wantHigh)
 	}
 	// Hysteresis: at 64 °C coming down from level 2, stays at 2 until 65.
-	if r.Cap(66, d); r.Level() != 2 {
-		t.Errorf("level dropped to %d at 66 °C (hysteresis is 3)", r.Level())
+	if r.Cap(66, d); r.level != 2 {
+		t.Errorf("level dropped to %d at 66 °C (hysteresis is 3)", r.level)
 	}
-	if r.Cap(64, d); r.Level() != 1 {
-		t.Errorf("level %d at 64 °C after cooling below 65", r.Level())
+	if r.Cap(64, d); r.level != 1 {
+		t.Errorf("level %d at 64 °C after cooling below 65", r.level)
 	}
 	// Full release below 60.
-	if cap := r.Cap(59, d); cap != 0 || r.Level() != 0 {
-		t.Errorf("cap %v level %d at 59 °C, want released", cap, r.Level())
+	if cap := r.Cap(59, d); cap != 0 || r.level != 0 {
+		t.Errorf("cap %v level %d at 59 °C, want released", cap, r.level)
 	}
 }
 
@@ -378,7 +365,7 @@ func TestLimitsAccessor(t *testing.T) {
 	c := newTestController(t, DefaultConfig())
 	chip := platform.NewChip()
 	c.Update(chip, coolInputs(chip))
-	if got := c.Limits(); got != Unlimited(chip.BigCluster.NumCores()) {
-		t.Errorf("controller limits after a cool interval %+v, want Unlimited", got)
+	if got := c.limits; got != (Limits{MaxBigCores: chip.BigCluster.NumCores(), OfflineCore: -1}) {
+		t.Errorf("controller limits after a cool interval %+v, want none imposed", got)
 	}
 }

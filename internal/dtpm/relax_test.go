@@ -104,7 +104,7 @@ func TestRelaxFullLadderInverse(t *testing.T) {
 	// Phase 4: the frequency caps lift last.
 	for k := 0; k < 400; k++ {
 		lim = coolDown(c, chip, 1)
-		if lim == Unlimited(platform.CoresPerCluster) {
+		if lim == (Limits{MaxBigCores: platform.CoresPerCluster, OfflineCore: -1}) {
 			return
 		}
 	}

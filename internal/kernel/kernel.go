@@ -43,9 +43,6 @@ type Task struct {
 	demand float64 // cached demand for the current TickWith interval
 }
 
-// Core returns the task's current core assignment.
-func (t *Task) Core() int { return t.core }
-
 // Foreground reports whether the task is work-bound (finite work).
 func (t *Task) Foreground() bool { return !math.IsInf(t.WorkLeft, 1) }
 
@@ -139,12 +136,6 @@ func (s *Sched) Add(t *Task) {
 	t.core = -1
 	s.tasks = append(s.tasks, t)
 }
-
-// Tasks returns all tasks (including finished ones).
-func (s *Sched) Tasks() []*Task { return s.tasks }
-
-// Now returns the scheduler clock (seconds).
-func (s *Sched) Now() float64 { return s.now }
 
 // AllForegroundDone reports whether every work-bound task has finished.
 func (s *Sched) AllForegroundDone() bool {

@@ -73,7 +73,7 @@ func TestTickWithMatchesTick(t *testing.T) {
 
 		resA := sA.Tick(dt, cA)
 		for j, tk := range tasksB {
-			demands[j] = tk.Demand(sB.Now())
+			demands[j] = tk.Demand(sB.now)
 		}
 		resB := sB.TickWith(dt, cB, demands)
 
@@ -93,15 +93,15 @@ func TestTickWithMatchesTick(t *testing.T) {
 		}
 		for j := range tasksA {
 			a, b := tasksA[j], tasksB[j]
-			if a.Core() != b.Core() || a.Done != b.Done ||
+			if a.core != b.core || a.Done != b.Done ||
 				math.Float64bits(a.WorkLeft) != math.Float64bits(b.WorkLeft) ||
 				math.Float64bits(a.FinishedAt) != math.Float64bits(b.FinishedAt) {
 				t.Fatalf("step %d task %d: core %d/%d done %v/%v work %v/%v finished %v/%v",
-					step, j, a.Core(), b.Core(), a.Done, b.Done, a.WorkLeft, b.WorkLeft, a.FinishedAt, b.FinishedAt)
+					step, j, a.core, b.core, a.Done, b.Done, a.WorkLeft, b.WorkLeft, a.FinishedAt, b.FinishedAt)
 			}
 		}
-		if math.Float64bits(sA.Now()) != math.Float64bits(sB.Now()) {
-			t.Fatalf("step %d: clock %v vs %v", step, sA.Now(), sB.Now())
+		if math.Float64bits(sA.now) != math.Float64bits(sB.now) {
+			t.Fatalf("step %d: clock %v vs %v", step, sA.now, sB.now)
 		}
 	}
 }

@@ -81,20 +81,6 @@ func TestIdentity(t *testing.T) {
 
 func TestRowColClone(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	r := m.Row(1)
-	if r[0] != 4 || r[2] != 6 {
-		t.Fatalf("Row(1) = %v", r)
-	}
-	c := m.Col(2)
-	if c[0] != 3 || c[1] != 6 {
-		t.Fatalf("Col(2) = %v", c)
-	}
-	// Mutating the copies must not touch m.
-	r[0] = 99
-	c[0] = 99
-	if m.At(1, 0) != 4 || m.At(0, 2) != 3 {
-		t.Fatal("Row/Col returned aliased data")
-	}
 	cl := m.Clone()
 	cl.Set(0, 0, 42)
 	if m.At(0, 0) != 1 {
@@ -124,13 +110,9 @@ func TestAddSubScale(t *testing.T) {
 	if diff.At(0, 0) != 4 || diff.At(1, 1) != 4 {
 		t.Fatalf("Sub wrong: %v", diff.Data)
 	}
-	sc := a.Scale(2)
-	if sc.At(1, 0) != 6 {
-		t.Fatalf("Scale wrong: %v", sc.Data)
-	}
 	// Originals untouched.
 	if a.At(0, 0) != 1 || b.At(0, 0) != 5 {
-		t.Fatal("Add/Sub/Scale mutated operands")
+		t.Fatal("Add/Sub mutated operands")
 	}
 }
 
@@ -166,35 +148,6 @@ func TestMulShapePanics(t *testing.T) {
 		}
 	}()
 	New(2, 3).Mul(New(2, 3))
-}
-
-func TestPow(t *testing.T) {
-	a := FromRows([][]float64{{1, 1}, {0, 1}})
-	p := a.Pow(5)
-	if p.At(0, 1) != 5 || p.At(0, 0) != 1 || p.At(1, 1) != 1 {
-		t.Fatalf("Pow(5) = %v", p.Data)
-	}
-	if !a.Pow(0).Equal(Identity(2), 0) {
-		t.Fatal("Pow(0) != identity")
-	}
-	if !a.Pow(1).Equal(a, 0) {
-		t.Fatal("Pow(1) != a")
-	}
-}
-
-func TestPowMatchesRepeatedMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := New(3, 3)
-	for i := range a.Data {
-		a.Data[i] = rng.Float64() - 0.5
-	}
-	byMul := Identity(3)
-	for i := 0; i < 7; i++ {
-		byMul = byMul.Mul(a)
-	}
-	if !a.Pow(7).Equal(byMul, 1e-9) {
-		t.Fatal("Pow(7) disagrees with repeated multiplication")
-	}
 }
 
 func TestSolveLU(t *testing.T) {
@@ -290,7 +243,10 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := SubVec(b, a.MulVec(x))
+	res := a.MulVec(x)
+	for i := range res {
+		res[i] = b[i] - res[i]
+	}
 	atr := a.T().MulVec(res)
 	for j, v := range atr {
 		if math.Abs(v) > 1e-8 {
@@ -315,43 +271,13 @@ func TestLeastSquaresRankDeficient(t *testing.T) {
 func TestVecOps(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
-	if Dot(a, b) != 32 {
-		t.Fatalf("Dot = %v", Dot(a, b))
-	}
 	s := AddVec(a, b)
 	if s[0] != 5 || s[2] != 9 {
 		t.Fatalf("AddVec = %v", s)
 	}
-	d := SubVec(b, a)
-	if d[0] != 3 || d[2] != 3 {
-		t.Fatalf("SubVec = %v", d)
-	}
 	sc := ScaleVec(2, a)
 	if sc[1] != 4 {
 		t.Fatalf("ScaleVec = %v", sc)
-	}
-	if MaxVec([]float64{3, 9, 2}) != 9 {
-		t.Fatal("MaxVec wrong")
-	}
-	if ArgMax([]float64{3, 9, 2}) != 1 {
-		t.Fatal("ArgMax wrong")
-	}
-}
-
-func TestMaxAbsNorm(t *testing.T) {
-	m := FromRows([][]float64{{-3, 4}})
-	if m.MaxAbs() != 4 {
-		t.Fatalf("MaxAbs = %v", m.MaxAbs())
-	}
-	if !almostEq(m.Norm2(), 5, 1e-12) {
-		t.Fatalf("Norm2 = %v", m.Norm2())
-	}
-}
-
-func TestSpectralRadiusUpperBound(t *testing.T) {
-	m := FromRows([][]float64{{0.5, 0.1}, {0.2, 0.6}})
-	if b := SpectralRadiusUpperBound(m); !almostEq(b, 0.8, 1e-12) {
-		t.Fatalf("bound = %v, want 0.8", b)
 	}
 }
 
@@ -415,23 +341,6 @@ func TestPropertyTransposeProduct(t *testing.T) {
 		return a.Mul(b).T().Equal(b.T().Mul(a.T()), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Pow(n) commutes with the matrix: A * A^n == A^n * A.
-func TestPropertyPowCommutes(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(3)
-		a := New(n, n)
-		for i := range a.Data {
-			a.Data[i] = rng.Float64() - 0.5
-		}
-		p := 1 + rng.Intn(5)
-		return a.Mul(a.Pow(p)).Equal(a.Pow(p).Mul(a), 1e-8)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

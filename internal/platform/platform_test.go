@@ -111,7 +111,7 @@ func TestFloorCeilStep(t *testing.T) {
 }
 
 func TestClusterFreqControl(t *testing.T) {
-	c := NewCluster(BigCluster, BigDomain(), 1.0, CoresPerCluster)
+	c := NewChip().BigCluster
 	if err := c.SetFreq(1400000); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestClusterFreqControl(t *testing.T) {
 }
 
 func TestHotplug(t *testing.T) {
-	c := NewCluster(BigCluster, BigDomain(), 1.0, CoresPerCluster)
+	c := NewChip().BigCluster
 	if c.OnlineCount() != 4 {
 		t.Fatal("all cores should boot online")
 	}
@@ -166,9 +166,8 @@ func TestChipBootState(t *testing.T) {
 	if c.GPUFreq() != 177000 {
 		t.Fatalf("boot GPU freq = %v", c.GPUFreq())
 	}
-	snap := c.Snapshot()
-	if snap.OnlineCores != 4 || snap.Active != BigCluster {
-		t.Fatalf("snapshot = %+v", snap)
+	if c.Active().OnlineCount() != 4 {
+		t.Fatalf("boot online cores = %d", c.Active().OnlineCount())
 	}
 }
 
@@ -178,7 +177,7 @@ func TestClusterExclusivity(t *testing.T) {
 	if c.ActiveKind() != LittleCluster {
 		t.Fatal("switch failed")
 	}
-	if c.Active().Kind != LittleCluster || c.Inactive().Kind != BigCluster {
+	if c.Active().Kind != LittleCluster || c.Active() == c.BigCluster {
 		t.Fatal("active/inactive mixed up")
 	}
 	// Migration brings the target up at min frequency, all cores online.

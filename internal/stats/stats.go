@@ -35,9 +35,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the minimum of a non-empty slice, or +Inf for an empty one.
 func Min(xs []float64) float64 {
 	m := math.Inf(1)
@@ -83,35 +80,6 @@ func RMSE(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(a)))
-}
-
-// MAE returns the mean absolute error between two equal-length series.
-func MAE(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: length mismatch")
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s / float64(len(a))
-}
-
-// MaxAbsError returns the largest absolute difference between two series.
-func MaxAbsError(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: length mismatch")
-	}
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // PercentError returns the mean absolute percentage error of predicted vs

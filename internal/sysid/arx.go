@@ -151,14 +151,6 @@ func (m *ThermalModel) PredictConst(tempC, powers []float64, n int) []float64 {
 	return m.Predict(tempC, [][]float64{powers}, n)
 }
 
-// PredictConstInto writes the n-step constant-power prediction into dst
-// (length States()) and returns dst. It allocates a fresh scratch per call;
-// hot paths hold a Predictor instead, which carries the scratch across
-// calls.
-func (m *ThermalModel) PredictConstInto(dst, tempC, powers []float64, n int) []float64 {
-	return m.NewPredictor().PredictConstInto(dst, tempC, powers, n)
-}
-
 // Predictor binds a thermal model to preallocated scratch vectors, making
 // repeated constant-power predictions allocation-free. A fitted model is
 // shared read-only across every concurrent simulation cell; each cell owns

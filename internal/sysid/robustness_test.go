@@ -107,8 +107,8 @@ func TestDatasetConstantInput(t *testing.T) {
 // TestPRBSSeedsDiffer: different LFSR seeds must give different sequences
 // (sanity for the per-resource experiments).
 func TestPRBSSeedsDiffer(t *testing.T) {
-	a := NewPRBS(0x2F3).Sequence(64)
-	b := NewPRBS(0x11).Sequence(64)
+	a := NewPRBS(0x2F3).HoldSequence(64, 1)
+	b := NewPRBS(0x11).HoldSequence(64, 1)
 	same := true
 	for i := range a {
 		if a[i] != b[i] {

@@ -14,7 +14,7 @@ import (
 
 func TestPRBSPeriodAndBalance(t *testing.T) {
 	p := NewPRBS(1)
-	seq := p.Sequence(32767)
+	seq := p.HoldSequence(32767, 1)
 	ones := 0
 	for _, b := range seq {
 		if b {
@@ -26,7 +26,7 @@ func TestPRBSPeriodAndBalance(t *testing.T) {
 		t.Fatalf("ones = %d, want 16384 (maximal-length property)", ones)
 	}
 	// Periodicity: the next 100 bits repeat the first 100.
-	again := p.Sequence(100)
+	again := p.HoldSequence(100, 1)
 	for i := range again {
 		if again[i] != seq[i] {
 			t.Fatalf("sequence not periodic at %d", i)
@@ -36,7 +36,7 @@ func TestPRBSPeriodAndBalance(t *testing.T) {
 
 func TestPRBSZeroSeedHandled(t *testing.T) {
 	p := NewPRBS(0)
-	seq := p.Sequence(100)
+	seq := p.HoldSequence(100, 1)
 	any := false
 	for _, b := range seq {
 		if b {
@@ -63,8 +63,8 @@ func TestPRBSHoldSequence(t *testing.T) {
 }
 
 func TestPRBSDeterministic(t *testing.T) {
-	a := NewPRBS(0x123).Sequence(500)
-	b := NewPRBS(0x123).Sequence(500)
+	a := NewPRBS(0x123).HoldSequence(500, 1)
+	b := NewPRBS(0x123).HoldSequence(500, 1)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed must reproduce the sequence")

@@ -20,11 +20,20 @@ type refSim struct {
 
 func newRefSim(p Params) *refSim {
 	n := p.Cores()
-	r := &refSim{p: p, nbr: p.neighbors(), s: NewState(n, p.Ambient), stage: NewState(n, p.Ambient)}
+	r := &refSim{p: p, nbr: p.neighbors(), s: uniformState(n, p.Ambient), stage: uniformState(n, p.Ambient)}
 	for i := range r.k {
 		r.k[i] = make([]float64, n)
 	}
 	return r
+}
+
+// uniformState returns a state with n core nodes and the board at t.
+func uniformState(n int, t float64) State {
+	s := State{Core: make([]float64, n), Board: t}
+	for i := range s.Core {
+		s.Core[i] = t
+	}
+	return s
 }
 
 func (r *refSim) derivative(st State, in Input, dCore []float64) (dBoard float64) {

@@ -131,15 +131,6 @@ type State struct {
 	Board float64
 }
 
-// NewState returns a state with n core nodes at temperature t.
-func NewState(n int, t float64) State {
-	s := State{Core: make([]float64, n), Board: t}
-	for i := range s.Core {
-		s.Core[i] = t
-	}
-	return s
-}
-
 // Clone returns a deep copy (State carries a slice; assignment aliases it).
 func (s State) Clone() State {
 	c := State{Core: make([]float64, len(s.Core)), Board: s.Board}
@@ -156,18 +147,6 @@ func (s State) MaxCore() float64 {
 		}
 	}
 	return m
-}
-
-// HottestCore returns the index of the hottest core.
-func (s State) HottestCore() int {
-	idx := 0
-	for i, t := range s.Core {
-		if t > s.Core[idx] {
-			idx = i
-		}
-		_ = t
-	}
-	return idx
 }
 
 // Input is the power injected into the network during one step.
@@ -424,11 +403,6 @@ type FanController struct {
 	speed float64
 }
 
-// NewFanController returns the stock Odroid thresholds: 57/63/68 °C.
-func NewFanController() *FanController {
-	return NewFanControllerFor(DefaultFanSpec())
-}
-
 // NewFanControllerFor returns a controller running the given ladder.
 func NewFanControllerFor(spec FanSpec) *FanController {
 	return &FanController{FanSpec: spec}
@@ -457,9 +431,6 @@ func (f *FanController) Update(maxCoreTemp float64) float64 {
 	}
 	return f.speed
 }
-
-// Speed returns the current fan speed fraction.
-func (f *FanController) Speed() float64 { return f.speed }
 
 // Validate sanity-checks the parameter set: positive capacitances and
 // conductances, in-range asymmetry, and a well-formed symmetric adjacency.

@@ -45,17 +45,6 @@ func (s *Series) At(t float64) float64 {
 	return s.Vals[i]
 }
 
-// Slice returns the values with Times in [t0, t1).
-func (s *Series) Slice(t0, t1 float64) []float64 {
-	var out []float64
-	for i, t := range s.Times {
-		if t >= t0 && t < t1 {
-			out = append(out, s.Vals[i])
-		}
-	}
-	return out
-}
-
 // Recorder gathers multiple named series on a shared clock.
 type Recorder struct {
 	order  []string
@@ -214,18 +203,6 @@ func (r *Recorder) Materialize() *Recorder {
 		for _, t := range times {
 			out.Record(name, t, s.At(t))
 		}
-	}
-	return out
-}
-
-// Downsample returns a copy of s keeping every k-th sample (k >= 1).
-func Downsample(s *Series, k int) *Series {
-	if k < 1 {
-		k = 1
-	}
-	out := &Series{Name: s.Name}
-	for i := 0; i < s.Len(); i += k {
-		out.Append(s.Times[i], s.Vals[i])
 	}
 	return out
 }

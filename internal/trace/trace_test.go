@@ -34,14 +34,6 @@ func TestSeriesAtEmpty(t *testing.T) {
 	}
 }
 
-func TestSeriesSlice(t *testing.T) {
-	s := &Series{Times: []float64{0, 1, 2, 3}, Vals: []float64{1, 2, 3, 4}}
-	got := s.Slice(1, 3)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("Slice = %v", got)
-	}
-}
-
 func TestRecorder(t *testing.T) {
 	r := NewRecorder()
 	r.Record("temp", 0, 40)
@@ -103,22 +95,5 @@ func TestAsciiChartConstantSeries(t *testing.T) {
 	out := AsciiChart("const", []*Series{s}, 4, 20)
 	if !strings.Contains(out, "*") {
 		t.Fatalf("constant series should still be drawn:\n%s", out)
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	s := &Series{Name: "x"}
-	for i := 0; i < 10; i++ {
-		s.Append(float64(i), float64(i*i))
-	}
-	d := Downsample(s, 3)
-	if d.Len() != 4 {
-		t.Fatalf("downsampled len = %d, want 4", d.Len())
-	}
-	if d.Times[1] != 3 || d.Vals[1] != 9 {
-		t.Fatalf("downsample picked wrong samples: %v %v", d.Times, d.Vals)
-	}
-	if Downsample(s, 0).Len() != 10 {
-		t.Fatal("k<1 should keep everything")
 	}
 }

@@ -251,10 +251,6 @@ type Background struct {
 	out   []float64
 }
 
-// NewBackground returns the standard (4-core, Exynos 5410) background load
-// generator.
-func NewBackground(seed int64) *Background { return NewBackgroundN(seed, 4) }
-
 // NewBackgroundN returns a background generator for n cores.
 func NewBackgroundN(seed int64, n int) *Background {
 	flat := make([]float64, 2*n)
