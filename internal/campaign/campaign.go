@@ -125,10 +125,18 @@ func (g Grid) UsesDefaultPlatform() bool {
 	return false
 }
 
-// Size returns the number of cells in the grid.
+// Size returns the number of cells in the grid. A grid of more than
+// sched.MaxCells cells reports sched.MaxCells+1: the axis product is
+// checked as it is formed, so it never overflows.
 func (g Grid) Size() int {
 	g = g.normalized()
-	return len(g.Policies) * len(g.Benchmarks) * len(g.Scenarios) * len(g.Platforms) * len(g.Governors) * len(g.Seeds) * len(g.TMax)
+	n := 1
+	for _, l := range [...]int{len(g.Policies), len(g.Benchmarks), len(g.Scenarios), len(g.Platforms), len(g.Governors), len(g.Seeds), len(g.TMax)} {
+		if n *= l; n > sched.MaxCells {
+			return sched.MaxCells + 1
+		}
+	}
+	return n
 }
 
 // Cells expands the grid into its cells in a deterministic row-major order
@@ -363,17 +371,17 @@ func (e *Engine) deviceFor(ctx context.Context, name string) (*sim.Runner, *sim.
 // collecting the Stream into the deterministic cell-index order the exports
 // rely on. Individual cell failures (unknown benchmark, bad governor,
 // missing models, panics) are recorded in the report; RunContext fails
-// only on an empty grid or on cancellation. On cancellation it
+// only on an oversized grid or on cancellation. On cancellation it
 // returns the partial report — completed cells keep their bit-exact
 // metrics, in-flight cells are collected as cancelled failures, cells that
 // never started are marked "cancelled before start" — together with an
 // error wrapping sim.ErrCancelled.
 func (e *Engine) RunContext(ctx context.Context, grid Grid) (*Report, error) {
-	cells := grid.Cells()
 	seq, err := e.Stream(ctx, grid)
 	if err != nil {
 		return nil, err
 	}
+	cells := grid.Cells()
 	results := make([]CellResult, len(cells))
 	seen := make([]bool, len(cells))
 	for r := range seq {
@@ -405,13 +413,14 @@ func (e *Engine) RunContext(ctx context.Context, grid Grid) (*Report, error) {
 // always drains cleanly — no goroutine outlives the iterator. Breaking out
 // of the iteration early behaves like cancellation.
 //
-// The returned error is non-nil only for an empty grid; per-cell failures
-// are yielded, never returned.
+// The returned error is non-nil only for a grid of more than
+// sched.MaxCells cells, checked before any cell is allocated; per-cell
+// failures are yielded, never returned.
 func (e *Engine) Stream(ctx context.Context, grid Grid) (iter.Seq[CellResult], error) {
-	cells := grid.Cells()
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("campaign: empty grid")
+	if grid.Size() > sched.MaxCells {
+		return nil, fmt.Errorf("campaign: grid has more than %d cells", sched.MaxCells)
 	}
+	cells := grid.Cells()
 	if e.Runner == nil {
 		e.Runner = sim.NewRunner()
 	}

@@ -3,10 +3,12 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -53,6 +55,51 @@ func TestGridCellsOrderAndSize(t *testing.T) {
 	// Empty axes default rather than emptying the product.
 	if n := (Grid{Benchmarks: []string{"dijkstra"}}).Size(); n != 1 {
 		t.Errorf("defaulted grid size = %d, want 1", n)
+	}
+}
+
+// TestOversizedGridRejected: a grid of more than sched.MaxCells cells is
+// refused by Stream and RunContext before any cell is allocated — both a
+// 2^21-cell grid and seven 1024-entry axes, whose product (2^70) overflows
+// int. A grid of exactly sched.MaxCells cells sizes exactly.
+func TestOversizedGridRejected(t *testing.T) {
+	axis := func(n int) []string { return make([]string, n) }
+	seeds := func(n int) []int64 { return make([]int64, n) }
+	tmax := func(n int) []float64 { return make([]float64, n) }
+	if n := (Grid{Seeds: seeds(1024), TMax: tmax(1024)}).Size(); n != sched.MaxCells {
+		t.Errorf("1024x1024 grid size = %d, want %d", n, sched.MaxCells)
+	}
+	policies := make([]sim.Policy, 1024)
+	for i := range policies {
+		policies[i] = sim.PolicyDTPM
+	}
+	grids := map[string]Grid{
+		"2^21 cells": {Seeds: seeds(2048), TMax: tmax(1024)},
+		"seven 1024-entry axes": {
+			Policies: policies, Benchmarks: axis(1024), Scenarios: axis(1024), Platforms: axis(1024),
+			Governors: axis(1024), Seeds: seeds(1024), TMax: tmax(1024),
+		},
+	}
+	for name, g := range grids {
+		t.Run(name, func(t *testing.T) {
+			// Fatal: a grid that sizes wrong must not reach Stream.
+			if n := g.Size(); n != sched.MaxCells+1 {
+				t.Fatalf("Size() = %d, want the saturated %d", n, sched.MaxCells+1)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			eng := &Engine{Workers: 1, BaseSeed: 1}
+			if seq, err := eng.Stream(context.Background(), g); err == nil || seq != nil {
+				t.Errorf("Stream accepted the grid (err %v)", err)
+			}
+			if rep, err := eng.RunContext(context.Background(), g); err == nil || rep != nil {
+				t.Errorf("RunContext accepted the grid (err %v)", err)
+			}
+			runtime.ReadMemStats(&after)
+			if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+				t.Errorf("rejecting the grid allocated %d bytes", d)
+			}
+		})
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
+
+	"repro/internal/sched"
 )
 
 // testSpec is the small mixed-population spec the package tests share:
@@ -239,7 +241,7 @@ func TestSpecValidation(t *testing.T) {
 	}
 	bad := []Spec{
 		{N: 0},
-		{N: MaxCells + 1},
+		{N: sched.MaxCells + 1},
 		{N: 4, Policy: "warp-speed"},
 		{N: 4, TMaxC: 10},
 		{N: 4, TMaxC: math.NaN()},

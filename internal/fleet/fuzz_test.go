@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // FuzzFleetSpec holds the spec decoder to its contract on arbitrary input:
@@ -16,7 +18,7 @@ import (
 // negative, NaN, infinite, and non-normalizable (all-zero) mix weights.
 func FuzzFleetSpec(f *testing.F) {
 	// Seed corpus: the shipped test populations plus targeted edge specs.
-	for _, s := range []Spec{goldenSpec(), {N: 1}, {N: MaxCells}} {
+	for _, s := range []Spec{goldenSpec(), {N: 1}, {N: sched.MaxCells}} {
 		data, err := json.Marshal(s)
 		if err != nil {
 			f.Fatal(err)

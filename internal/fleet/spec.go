@@ -25,14 +25,14 @@ import (
 
 	"repro/internal/platform"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
 // Spec bounds: generous for any plausible population, tight enough that a
-// fuzzed spec cannot declare an unbounded amount of work.
+// fuzzed spec cannot declare an unbounded amount of work. The population
+// size N is bounded by sched.MaxCells.
 const (
-	// MaxCells bounds the population size N.
-	MaxCells = 1 << 20
 	// MaxAmbientJitter bounds the ambient perturbation half-width (°C).
 	MaxAmbientJitter = 25
 	// MinTMax / MaxTMax bound an explicit thermal constraint (°C).
@@ -58,7 +58,7 @@ type Weight struct {
 type Spec struct {
 	// Name labels the fleet in reports (optional).
 	Name string `json:"name,omitempty"`
-	// N is the population size (required, 1..MaxCells).
+	// N is the population size (required, 1..sched.MaxCells).
 	N int `json:"n"`
 	// Policy is the thermal-management configuration for every device
 	// ("" = dtpm; also: with-fan, without-fan, reactive).
@@ -144,8 +144,8 @@ func validWeights(axis string, ws []Weight, lookup func(string) error) error {
 // collected cell errors.
 func (s Spec) Validate() error {
 	s = s.normalized()
-	if s.N < 1 || s.N > MaxCells {
-		return fmt.Errorf("fleet: n %d out of range [1, %d]", s.N, MaxCells)
+	if s.N < 1 || s.N > sched.MaxCells {
+		return fmt.Errorf("fleet: n %d out of range [1, %d]", s.N, sched.MaxCells)
 	}
 	if _, err := sim.ParsePolicy(s.Policy); err != nil {
 		return fmt.Errorf("fleet: %w", err)

@@ -22,6 +22,12 @@ import (
 	"repro/internal/sim"
 )
 
+// MaxCells bounds the cells one run may declare: a fleet's population size
+// and a campaign grid's axis product. It is generous for any plausible run
+// and tight enough that a submitted spec cannot declare an unbounded
+// amount of work.
+const MaxCells = 1 << 20
+
 // Pool is a fixed-width worker pool. The zero value is ready to use and
 // sizes itself to GOMAXPROCS.
 type Pool struct {

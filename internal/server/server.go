@@ -36,6 +36,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/controlapi"
 	"repro/internal/fleet"
+	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/version"
 )
@@ -269,6 +270,10 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, req *http.Request) 
 	var grid campaign.Grid
 	if err := dec.Decode(&grid); err != nil {
 		writeError(w, http.StatusBadRequest, apiError(controlapi.CodeInvalidSpec, fmt.Sprintf("campaign: %v", err)))
+		return
+	}
+	if grid.Size() > sched.MaxCells {
+		writeError(w, http.StatusBadRequest, apiError(controlapi.CodeInvalidSpec, fmt.Sprintf("campaign: grid has more than %d cells", sched.MaxCells)))
 		return
 	}
 	r := newRun(controlapi.KindCampaign, tenantOf(req), sr)

@@ -235,6 +235,35 @@ func TestSubmitRetiredBatchSize(t *testing.T) {
 	}
 }
 
+// TestSubmitOversizedCampaign: a campaign grid of more than sched.MaxCells
+// cells is refused at submit as invalid_spec and never becomes a run —
+// both a 2^21-cell grid and seven 1024-entry axes, whose product (2^70)
+// overflows int.
+func TestSubmitOversizedCampaign(t *testing.T) {
+	_, _, cl := newTestDaemon(t, Config{})
+	list := func(n int, v string) string { return "[" + strings.Repeat(v+",", n-1) + v + "]" }
+	specs := map[string]string{
+		"2^21 cells": `{"seeds":` + list(2048, "1") + `,"tmax":` + list(1024, "63") + `}`,
+		"seven 1024-entry axes": `{"policies":` + list(1024, `"dtpm"`) + `,"benchmarks":` + list(1024, `"dijkstra"`) +
+			`,"scenarios":` + list(1024, `"cold-start"`) + `,"platforms":` + list(1024, `"exynos5410"`) +
+			`,"governors":` + list(1024, `"ondemand"`) + `,"seeds":` + list(1024, "1") + `,"tmax":` + list(1024, "63") + `}`,
+	}
+	ctx := context.Background()
+	for name, spec := range specs {
+		_, err := cl.SubmitCampaign(ctx, controlapi.SubmitRequest{Spec: []byte(spec), Seed: 1})
+		if !errors.Is(err, controlapi.ErrInvalidSpec) {
+			t.Errorf("%s: submit returned %v, want ErrInvalidSpec", name, err)
+		}
+	}
+	runs, err := cl.Runs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs.Runs) != 0 {
+		t.Errorf("oversized grids became %d runs", len(runs.Runs))
+	}
+}
+
 // TestSubmitWorkersClamped: a run's requested pool size may lower the
 // server's but never raise it, and an absurd request still runs — on the
 // configured pool, not a goroutine per cell.
