@@ -20,17 +20,14 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/cli"
-	"repro/internal/client"
 	"repro/internal/controlapi"
 	"repro/internal/governor"
 	"repro/internal/platform"
@@ -144,19 +141,13 @@ func run(args []string) error {
 	// exports rely on); OnCellDone prints live progress per cell.
 	if !*quiet {
 		eng.OnCellDone = func(done, total int, r campaign.CellResult) {
-			status := "ok"
-			if r.Err != "" {
-				status = "FAILED: " + r.Err
-			}
-			fmt.Fprintf(os.Stderr, "campaign: [%d/%d] %s %s\n", done, total, r.Cell, status)
+			cli.PrintCell("campaign", done, total, r.Cell.String(), r.Err, r.Cached)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "campaign: running %d cells\n", grid.Size())
 	rep, err := eng.RunContext(ctx, grid)
 	if eng.Store != nil {
-		s := eng.Store.Stats()
-		fmt.Fprintf(os.Stderr, "campaign: store %s: %d hits, %d misses (%.0f%% hit rate)\n",
-			eng.Store.Dir(), s.Hits, s.Misses, 100*s.HitRate())
+		cli.PrintStore("campaign", eng.Store.Dir(), eng.Store.Stats())
 	}
 	cancelled := err != nil && cli.Cancelled(err)
 	if err != nil && !cancelled {
@@ -165,12 +156,12 @@ func run(args []string) error {
 
 	fmt.Print(rep.Summary())
 	if *jsonOut != "" {
-		if err := writeFile(*jsonOut, rep.WriteJSON); err != nil {
+		if err := cli.WriteFile(*jsonOut, rep.WriteJSON); err != nil {
 			return err
 		}
 	}
 	if *csvOut != "" {
-		if err := writeFile(*csvOut, rep.WriteCSV); err != nil {
+		if err := cli.WriteFile(*csvOut, rep.WriteCSV); err != nil {
 			return err
 		}
 	}
@@ -188,82 +179,16 @@ func fatal(err error) {
 	cli.Exit("campaign", err, "run `campaign -list` for the known names")
 }
 
-// runRemote is the -addr thin-client path: submit the grid to a reprod
-// daemon, mirror the in-process progress/store/summary output from the
-// event stream, fetch the byte-identical exports, and exit with the
-// in-process codes. Ctrl-C cancels the run server-side and the partial
-// report is still exported before exiting 130.
+// runRemote is the -addr thin-client path (cli.RunRemote with the
+// campaign's start line).
 func runRemote(ctx context.Context, addr, tenant string, grid campaign.Grid, baseSeed int64, workers int, jsonOut, csvOut string, quiet bool) error {
-	cl := client.New(addr)
-	cl.Tenant = tenant
 	gridJSON, err := json.Marshal(grid)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "campaign: running %d cells\n", grid.Size())
-	info, err := cl.SubmitCampaign(ctx, controlapi.SubmitRequest{Spec: gridJSON, Seed: baseSeed, Workers: workers})
-	if err != nil {
-		return err
-	}
-	go func() {
-		<-ctx.Done()
-		cl.Cancel(context.Background(), info.ID)
-	}()
-	done, err := cl.Follow(context.Background(), info.ID, 0, func(ev controlapi.Event) error {
-		if quiet || ev.Type != controlapi.EventProgress {
-			return nil
-		}
-		status := "ok"
-		if ev.Err != "" {
-			status = "FAILED: " + ev.Err
-		}
-		fmt.Fprintf(os.Stderr, "campaign: [%d/%d] %s %s\n", ev.Done, ev.Total, ev.Cell, status)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if done.StoreDir != "" {
-		rate := 0.0
-		if done.Hits+done.Misses > 0 {
-			rate = float64(done.Hits) / float64(done.Hits+done.Misses)
-		}
-		fmt.Fprintf(os.Stderr, "campaign: store %s: %d hits, %d misses (%.0f%% hit rate)\n",
-			done.StoreDir, done.Hits, done.Misses, 100*rate)
-	}
-	if done.State == controlapi.StateFailed {
-		return errors.New(done.RunErr)
-	}
-	if done.Summary == "" && done.State == controlapi.StateCancelled {
-		fmt.Fprintln(os.Stderr, "campaign:", done.RunErr)
-		os.Exit(130)
-	}
-	fmt.Print(done.Summary)
-	writeRemote := func(format, path string) error {
-		b, err := cl.Report(context.Background(), info.ID, format)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(path, b, 0o644)
-	}
-	if jsonOut != "" {
-		if err := writeRemote("json", jsonOut); err != nil {
-			return err
-		}
-	}
-	if csvOut != "" {
-		if err := writeRemote("csv", csvOut); err != nil {
-			return err
-		}
-	}
-	if done.State == controlapi.StateCancelled {
-		fmt.Fprintln(os.Stderr, "campaign:", done.RunErr)
-		os.Exit(130)
-	}
-	if done.Failures > 0 {
-		os.Exit(1)
-	}
-	return nil
+	req := controlapi.SubmitRequest{Spec: gridJSON, Seed: baseSeed, Workers: workers}
+	return cli.RunRemote(ctx, "campaign", addr, tenant, controlapi.KindCampaign, req, jsonOut, csvOut, quiet)
 }
 
 // buildGrid parses the axis flags into a campaign grid.
@@ -344,16 +269,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -2,8 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -59,16 +57,5 @@ func TestRunFlagErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) accepted", args)
 		}
-	}
-}
-
-func TestWriteFileErrors(t *testing.T) {
-	if err := writeFile(filepath.Join(t.TempDir(), "no-such-dir", "x.json"), nil); err == nil {
-		t.Error("uncreatable path accepted")
-	}
-	boom := errors.New("render failed")
-	err := writeFile(filepath.Join(t.TempDir(), "x.json"), func(w io.Writer) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Errorf("writer error not propagated: %v", err)
 	}
 }

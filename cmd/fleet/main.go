@@ -22,10 +22,8 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -33,7 +31,6 @@ import (
 	"strings"
 
 	"repro/internal/cli"
-	"repro/internal/client"
 	"repro/internal/controlapi"
 	"repro/internal/fleet"
 	"repro/internal/platform"
@@ -274,14 +271,7 @@ func cmdRun(ctx context.Context, args []string) error {
 	eng := &fleet.Engine{Workers: *workers, BaseSeed: *baseSeed, Store: st}
 	if !*quiet {
 		eng.OnCellDone = func(p fleet.Progress) {
-			status := "ok"
-			switch {
-			case p.Err != "":
-				status = "FAILED: " + p.Err
-			case p.Cached:
-				status = "cached"
-			}
-			fmt.Fprintf(os.Stderr, "fleet: [%d/%d] %s %s\n", p.Done, p.Total, p.Cell, status)
+			cli.PrintCell("fleet", p.Done, p.Total, p.Cell.String(), p.Err, p.Cached)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "fleet: simulating %d devices\n", spec.N)
@@ -296,9 +286,7 @@ func cmdRun(ctx context.Context, args []string) error {
 		fmt.Fprintln(os.Stderr, "fleet:", perr)
 	}
 	if st != nil {
-		s := st.Stats()
-		fmt.Fprintf(os.Stderr, "fleet: store %s: %d hits, %d misses (%.0f%% hit rate)\n",
-			st.Dir(), s.Hits, s.Misses, 100*s.HitRate())
+		cli.PrintStore("fleet", st.Dir(), st.Stats())
 	}
 	cancelled := err != nil && cli.Cancelled(err)
 	if err != nil && !cancelled {
@@ -311,12 +299,12 @@ func cmdRun(ctx context.Context, args []string) error {
 	}
 	fmt.Print(rep.Summary())
 	if *jsonOut != "" {
-		if werr := writeFile(*jsonOut, rep.WriteJSON); werr != nil {
+		if werr := cli.WriteFile(*jsonOut, rep.WriteJSON); werr != nil {
 			return werr
 		}
 	}
 	if *csvOut != "" {
-		if werr := writeFile(*csvOut, rep.WriteCSV); werr != nil {
+		if werr := cli.WriteFile(*csvOut, rep.WriteCSV); werr != nil {
 			return werr
 		}
 	}
@@ -330,99 +318,16 @@ func cmdRun(ctx context.Context, args []string) error {
 	return nil
 }
 
-// runRemote is the -addr thin-client path of `fleet run`: submit the spec
-// to a reprod daemon, mirror the in-process progress/store/summary output
-// from the event stream (the daemon pre-renders every line's fields, so
-// the bytes match), fetch the byte-identical report exports, and exit with
-// the in-process codes. Ctrl-C cancels the run server-side and then keeps
-// following: the daemon finalizes it with a partial report, exactly like
-// the in-process engine, and the client exits 130 after exporting it.
+// runRemote is the -addr thin-client path of `fleet run` (cli.RunRemote
+// with the fleet's start line).
 func runRemote(ctx context.Context, addr, tenant string, spec fleet.Spec, baseSeed int64, workers int, jsonOut, csvOut string, quiet bool) error {
-	cl := client.New(addr)
-	cl.Tenant = tenant
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "fleet: simulating %d devices\n", spec.N)
-	info, err := cl.SubmitFleet(ctx, controlapi.SubmitRequest{Spec: specJSON, Seed: baseSeed, Workers: workers})
-	if err != nil {
-		return err
-	}
-	// Follow on a background context: an interrupt must not sever the
-	// stream — it cancels the run server-side, and the stream then delivers
-	// the partial run's done event.
-	go func() {
-		<-ctx.Done()
-		cl.Cancel(context.Background(), info.ID)
-	}()
-	done, err := cl.Follow(context.Background(), info.ID, 0, func(ev controlapi.Event) error {
-		if quiet || ev.Type != controlapi.EventProgress {
-			return nil
-		}
-		status := "ok"
-		switch {
-		case ev.Err != "":
-			status = "FAILED: " + ev.Err
-		case ev.Cached:
-			status = "cached"
-		}
-		fmt.Fprintf(os.Stderr, "fleet: [%d/%d] %s %s\n", ev.Done, ev.Total, ev.Cell, status)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if done.StoreDir != "" {
-		fmt.Fprintf(os.Stderr, "fleet: store %s: %d hits, %d misses (%.0f%% hit rate)\n",
-			done.StoreDir, done.Hits, done.Misses, 100*hitRate(done.Hits, done.Misses))
-	}
-	if done.State == controlapi.StateFailed {
-		return errors.New(done.RunErr)
-	}
-	// A run cancelled before any cell could start has no report — mirror
-	// the in-process "cancelled during characterization" exit.
-	if done.Summary == "" && done.State == controlapi.StateCancelled {
-		fmt.Fprintln(os.Stderr, "fleet:", done.RunErr)
-		os.Exit(130)
-	}
-	fmt.Print(done.Summary)
-	if jsonOut != "" {
-		if err := fetchReport(cl, info.ID, "json", jsonOut); err != nil {
-			return err
-		}
-	}
-	if csvOut != "" {
-		if err := fetchReport(cl, info.ID, "csv", csvOut); err != nil {
-			return err
-		}
-	}
-	if done.State == controlapi.StateCancelled {
-		fmt.Fprintln(os.Stderr, "fleet:", done.RunErr)
-		os.Exit(130)
-	}
-	if done.Failures > 0 {
-		os.Exit(1)
-	}
-	return nil
-}
-
-// hitRate mirrors store.Stats.HitRate for the daemon's per-run counters.
-func hitRate(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
-// fetchReport downloads one rendered export into a local file — the same
-// bytes the in-process path writes, served from the daemon.
-func fetchReport(cl *client.Client, id, format, path string) error {
-	b, err := cl.Report(context.Background(), id, format)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
+	req := controlapi.SubmitRequest{Spec: specJSON, Seed: baseSeed, Workers: workers}
+	return cli.RunRemote(ctx, "fleet", addr, tenant, controlapi.KindFleet, req, jsonOut, csvOut, quiet)
 }
 
 func cmdReport(args []string) error {
@@ -477,7 +382,7 @@ func cmdReplayCell(ctx context.Context, args []string) error {
 	}
 	fmt.Fprintln(os.Stderr, replaySummary(cfg, res))
 	if *out != "" {
-		return writeFile(*out, res.Rec.WriteCSV)
+		return cli.WriteFile(*out, res.Rec.WriteCSV)
 	}
 	return res.Rec.WriteCSV(os.Stdout)
 }
@@ -542,18 +447,6 @@ func (p *profile) finish(memPath string) error {
 	}
 	runtime.GC()
 	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -67,12 +67,3 @@ func TestRunRemoteRejectsBadDaemon(t *testing.T) {
 		t.Error("unreachable daemon reported success")
 	}
 }
-
-func TestHitRate(t *testing.T) {
-	if got := hitRate(0, 0); got != 0 {
-		t.Errorf("hitRate(0,0) = %v, want 0", got)
-	}
-	if got := hitRate(3, 1); got != 0.75 {
-		t.Errorf("hitRate(3,1) = %v, want 0.75", got)
-	}
-}

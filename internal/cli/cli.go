@@ -1,6 +1,7 @@
 // Package cli holds the conventions shared by every command in cmd/: the
-// sentinel-error to exit-code mapping and the live progress observer, so
-// the next sentinel (or a change to the exit conventions) is edited once.
+// sentinel-error to exit-code mapping, the live progress observer, and the
+// fleet and campaign CLIs' per-cell, store and thin-client output, so the
+// next sentinel (or a change to the exit conventions) is edited once.
 package cli
 
 import (

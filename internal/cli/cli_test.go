@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"path/filepath"
 	"testing"
 )
 
@@ -33,5 +34,16 @@ func TestParseFlags(t *testing.T) {
 		if !errors.Is(err, ErrUsage) {
 			t.Errorf("args %v: error %v does not wrap ErrUsage", args, err)
 		}
+	}
+}
+
+func TestWriteFileErrors(t *testing.T) {
+	if err := WriteFile(filepath.Join(t.TempDir(), "no-such-dir", "x.json"), nil); err == nil {
+		t.Error("uncreatable path accepted")
+	}
+	boom := errors.New("render failed")
+	err := WriteFile(filepath.Join(t.TempDir(), "x.json"), func(w io.Writer) error { return boom })
+	if !errors.Is(err, boom) {
+		t.Errorf("writer error not propagated: %v", err)
 	}
 }

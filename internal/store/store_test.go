@@ -258,3 +258,12 @@ func TestConcurrentPutGet(t *testing.T) {
 		}
 	}
 }
+
+func TestHitRate(t *testing.T) {
+	if got := (Stats{}).HitRate(); got != 0 {
+		t.Errorf("HitRate of no lookups = %v, want 0", got)
+	}
+	if got := (Stats{Hits: 3, Misses: 1}).HitRate(); got != 0.75 {
+		t.Errorf("HitRate(3 hits, 1 miss) = %v, want 0.75", got)
+	}
+}
