@@ -100,6 +100,7 @@ bench-record:
 
 lint:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
