@@ -320,11 +320,12 @@ func (s *Sched) Tick(dt float64, cluster *platform.Cluster) TickResult {
 // worker's demand from one Script.Step call per interval.
 //
 // The contract is byte-identity with Tick: the caller guarantees
-// demands[j] == tasks[j].Demand(s.Now()) bitwise for this interval. That
-// holds only for pure demand functions (scripted scenarios, background
-// levels frozen for the tick); benchmark generators advance RNG state on
-// every call, so benchmark runs MUST keep using Tick — moving them would
-// change how often the RNG is drawn, and with it every benchmark result.
+// demands[j] == tasks[j].Demand(now) bitwise, where now is the scheduler
+// clock at the start of this interval. That holds only for pure demand
+// functions (scripted scenarios, background levels frozen for the tick);
+// benchmark generators advance RNG state on every call, so benchmark runs
+// MUST keep using Tick — moving them would change how often the RNG is
+// drawn, and with it every benchmark result.
 func (s *Sched) TickWith(dt float64, cluster *platform.Cluster, demands []float64) TickResult {
 	var res TickResult
 	if dt <= 0 {

@@ -846,7 +846,7 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 }
 
 // steadyWindow returns the slice of the series after the cold-start ramp:
-// from the first sample within 8 °C of tMax, or from 30% of the run when the
+// from the first sample within 3 °C of tMax, or from 30% of the run when the
 // trace never gets that hot.
 func steadyWindow(series []float64, tMax float64) []float64 {
 	if len(series) == 0 {
